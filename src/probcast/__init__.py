@@ -16,7 +16,7 @@ from .gfb import GFBDecodeError, load_dataset, save_dataset
 from .grid import (CONSTANT, SURFACE, Dataset, Field, GridSpec, SplitPlan,
                    anomaly, climatology, latitude_weights, persistence_forecast)
 from .resnet import (ResNet, ResNetConfig, TrainHistory, TrainingSchedule,
-                     build_model, build_samples, train)
+                     build_samples, train)
 from .stacking import (LearnerOutput, StackConfig, StackModel, assemble_stack_inputs,
                        average_combine, stack_predict, train_stack)
 from .synth import SynthConfig, synth_generate, with_leaked_variable, with_noise_variable

@@ -3,7 +3,6 @@ plus exploration sweeps and contour extraction.
 
 Every command is deterministic given its flags; all randomness flows from
 explicit seeds. Input files are never mutated; artifacts land in --out.
-The PROBCAST_THREADS environment variable caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -22,8 +20,8 @@ from .contours import contours_to_csv, contours_to_svg, probability_contours
 from .ensemble import ensemble_spread, generate_ensemble, linear_pool
 from .gfb import load_dataset, save_dataset
 from .grid import Dataset, GridSpec, SplitPlan, climatology, persistence_forecast
-from .resnet import (ResNet, ResNetConfig, TrainingSchedule, build_model,
-                     build_samples, lead_steps, train)
+from .resnet import (ResNet, ResNetConfig, TrainingSchedule, build_samples,
+                     lead_steps, train)
 from .stacking import LearnerOutput, StackModel, average_combine, stack_predict, train_stack
 from .synth import SynthConfig, synth_generate
 from .verification import (assemble_report, cdf_threshold, render_report_table,
@@ -59,11 +57,11 @@ def _splits(ds: Dataset, fractions) -> SplitPlan:
     return SplitPlan.from_fractions(ds.n_time, tr, nv, sv, te)
 
 
-def _workers(requested: int) -> int:
-    cap = os.environ.get("PROBCAST_THREADS")
-    if cap is not None:
-        return max(1, min(requested, int(cap)))
-    return max(1, requested)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # --- commands ---------------------------------------------------------------------
@@ -95,9 +93,9 @@ def cmd_train(args) -> int:
                        kernel=args.kernel)
     sched = TrainingSchedule(initial_lr=args.lr, max_epochs=args.epochs,
                              batch_size=args.batch_size)
-    model = build_model(cfg, seed=args.seed)
+    model = ResNet(cfg, seed=args.seed)
     history = train(model, ds, splits.train, splits.neural_validation, sched,
-                    seed=args.seed, eval_workers=_workers(args.workers))
+                    seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "model.pwnn")
@@ -166,18 +164,29 @@ def _load_ensemble_dir(path):
     return manifest, DensityGrid(pooled, spec), truth, grid
 
 
-def cmd_stack(args) -> int:
-    learner_dirs = [Path(p) for p in args.learners.split(",")]
+def _load_learners(dirs: str, spec: BinSpec | None = None):
+    """Pooled expectations of the comma-listed ensemble dirs, each read once.
+
+    Every learner must cover the first one's samples and use one bin spec:
+    spec when given, else the first learner's. Returns (outputs, first
+    manifest, bin spec, truth, grid).
+    """
     outputs = []
-    manifest0, pooled0, truth, grid = _load_ensemble_dir(learner_dirs[0])
-    spec = pooled0.spec
-    for d in learner_dirs:
-        manifest, pooled, t2, _ = _load_ensemble_dir(d)
-        if manifest["binspec"] != manifest0["binspec"]:
+    for d in map(Path, dirs.split(",")):
+        manifest, pooled, t, g = _load_ensemble_dir(d)
+        if not outputs:
+            first, truth, grid = manifest, t, g
+            spec = pooled.spec if spec is None else spec
+        if pooled.spec != spec:
             raise SystemExit(f"learner {d} uses a different bin spec")
-        if not np.array_equal(t2, truth):
+        if not np.array_equal(t, truth):
             raise SystemExit(f"learner {d} covers different samples")
         outputs.append(LearnerOutput(str(d), expectation(pooled)))
+    return outputs, first, spec, truth, grid
+
+
+def cmd_stack(args) -> int:
+    outputs, _, spec, truth, grid = _load_learners(args.learners)
     true_bins = discretize(truth, spec).bins
     model = train_stack(outputs, true_bins, spec, seed=args.seed)
     out = Path(args.out)
@@ -186,7 +195,7 @@ def cmd_stack(args) -> int:
     fused = stack_predict(model, outputs)
     rmse_stack = weighted_rmse(expectation(fused), truth, grid)
     rmse_avg = weighted_rmse(average_combine(outputs), truth, grid)
-    meta = {"learners": [str(d) for d in learner_dirs], "seed": args.seed,
+    meta = {"learners": [o.learner_id for o in outputs], "seed": args.seed,
             "train_rows_rmse": rmse_stack, "average_baseline_rmse": rmse_avg}
     (out / "stack_manifest.json").write_text(json.dumps(meta, indent=2,
                                                         sort_keys=True) + "\n")
@@ -207,15 +216,9 @@ def cmd_evaluate(args) -> int:
     elif args.stack:
         if not args.learners:
             raise SystemExit("--stack evaluation needs --learners")
-        learner_dirs = [Path(p) for p in args.learners.split(",")]
         model = StackModel.load(args.stack)
-        outputs = []
-        manifest0, pooled0, truth, grid = _load_ensemble_dir(learner_dirs[0])
-        for d in learner_dirs:
-            manifest, pooled, t2, _ = _load_ensemble_dir(d)
-            if not np.array_equal(t2, truth):
-                raise SystemExit(f"learner {d} covers different samples")
-            outputs.append(LearnerOutput(str(d), expectation(pooled)))
+        outputs, manifest0, _, truth, grid = _load_learners(args.learners,
+                                                            model.binspec)
         fused = stack_predict(model, outputs)
         variable, level = manifest0["variable"]
         report = assemble_report(fused, truth, grid, variable=variable,
@@ -358,10 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15],
                     help="train,neural_val,stacked_val,test fractions")
     tp.add_argument("--lr", type=float, default=1e-3)
-    tp.add_argument("--epochs", type=int, default=20)
+    tp.add_argument("--epochs", type=_positive_int, default=20)
     tp.add_argument("--batch-size", type=int, default=32)
-    tp.add_argument("--workers", type=int, default=1,
-                    help="threads for validation evaluation")
     tp.set_defaults(func=cmd_train)
 
     ep = sub.add_parser("ensemble", help="dropout-at-inference ensemble")
@@ -416,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     xp.add_argument("--members", type=int, default=8)
     xp.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15])
     xp.add_argument("--lr", type=float, default=1e-3)
-    xp.add_argument("--epochs", type=int, default=8)
+    xp.add_argument("--epochs", type=_positive_int, default=8)
     xp.add_argument("--batch-size", type=int, default=32)
     xp.set_defaults(func=cmd_explore)
 

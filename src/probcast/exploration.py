@@ -13,7 +13,7 @@ from .binning import expectation
 from .ensemble import generate_ensemble, linear_pool
 from .grid import Dataset, SplitPlan
 from .resnet import (CATEGORICAL, ResNet, ResNetConfig, TrainingSchedule,
-                     build_model, build_samples, train)
+                     build_samples, train)
 from .verification import weighted_mse_ci
 
 logger = logging.getLogger(__name__)
@@ -104,7 +104,7 @@ def _pooled_mse(spec: ExperimentSpec, ds: Dataset, splits: SplitPlan,
     cfg = ResNetConfig(inputs=spec.all_inputs(), target=spec.target,
                        lead_hours=spec.lead_hours, n_blocks=spec.n_blocks,
                        n_bins=spec.n_bins, kernel=spec.kernel, mode=CATEGORICAL)
-    model = build_model(cfg, seed=spec.seed)
+    model = ResNet(cfg, seed=spec.seed)
     train(model, ds, splits.train, splits.neural_validation, sched, seed=spec.seed)
     X, truth, _ = build_samples(ds, cfg, splits.range(eval_split))
     ens = generate_ensemble(model, X, n_members=spec.n_members,

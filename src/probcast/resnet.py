@@ -165,6 +165,55 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
+def fit(model, rows: np.ndarray, batch_loss, val_loss, sched: TrainingSchedule,
+        shuffle_rng: np.random.Generator, log: logging.Logger = logger,
+        label: str = "epoch") -> TrainHistory:
+    """The training loop shared by learners and the stack; fits model in place.
+
+    Each epoch shuffles rows, steps Adam on batch_loss(take) for each
+    batch of row indices, then scores val_loss() and updates the plateau
+    schedule. The model ends with the state of its best-validation epoch.
+    """
+    adam = Adam(model.parameters(), learning_rate=sched.initial_lr)
+    plateau = PlateauSchedule(sched)
+    history = TrainHistory()
+    best_state = [(n, a.copy()) for n, a in model.state_arrays()]
+    best_val = np.inf
+
+    for epoch in range(sched.max_epochs):
+        t0 = time.perf_counter()
+        perm = shuffle_rng.permutation(rows)
+        total = 0.0
+        for start in range(0, perm.size, sched.batch_size):
+            take = perm[start:start + sched.batch_size]
+            loss = batch_loss(take)
+            val = loss.item()
+            if not np.isfinite(val):
+                raise RuntimeError(
+                    f"non-finite training loss at {label} {epoch}, "
+                    f"batch {start // sched.batch_size}")
+            adam.zero_grad()
+            loss.backward()
+            adam.step()
+            total += val * take.size
+        train_loss = total / max(perm.size, 1)
+        va = val_loss()
+        decision = plateau.update(va)
+        adam.learning_rate = plateau.lr
+        history.append(epoch, train_loss, va, plateau.lr, time.perf_counter() - t0)
+        if va < best_val:
+            best_val = va
+            best_state = [(n, a.copy()) for n, a in model.state_arrays()]
+            history.best_epoch = epoch
+        log.info(label + " %d train %.5f val %.5f lr %.3g%s", epoch, train_loss,
+                 va, plateau.lr, " *" if decision["improved"] else "")
+        if decision["stop"]:
+            break
+
+    model.load_state_arrays(best_state)
+    return history
+
+
 class ResNet:
     """One learner: weights, bin spec, and input standardization statistics."""
 
@@ -312,10 +361,6 @@ class ResNet:
         return model
 
 
-def build_model(cfg: ResNetConfig, seed: int) -> ResNet:
-    return ResNet(cfg, seed)
-
-
 # --- data assembly ----------------------------------------------------------------
 
 
@@ -377,28 +422,20 @@ def _batch_loss(model: ResNet, X: np.ndarray, y, training: bool,
     return ad.mse_loss(out, y[:, None].astype(model.dtype))
 
 
-def evaluate_loss(model: ResNet, X: np.ndarray, y, batch_size: int = 64,
-                  workers: int = 1) -> float:
+def evaluate_loss(model: ResNet, X: np.ndarray, y, batch_size: int = 64) -> float:
     """Mean loss over samples with dropout off and frozen normalization."""
     n = X.shape[0]
-    starts = list(range(0, n, batch_size))
-
-    def one(i):
+    total = 0.0
+    for i in range(0, n, batch_size):
         stop = min(i + batch_size, n)
-        loss = _batch_loss(model, X[i:stop], y[i:stop], training=False, rng=None)
-        return loss.item() * (stop - i)
-
-    if workers > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(one, starts))
-    else:
-        totals = [one(i) for i in starts]
-    return float(sum(totals) / n)
+        # no name holds the graph, so it is freed before the next batch's forward
+        total += _batch_loss(model, X[i:stop], y[i:stop], training=False,
+                             rng=None).item() * (stop - i)
+    return float(total / n)
 
 
 def train(model: ResNet, ds: Dataset, train_split: tuple, val_split: tuple,
-          sched: TrainingSchedule, seed: int, eval_workers: int = 1) -> TrainHistory:
+          sched: TrainingSchedule, seed: int) -> TrainHistory:
     """Fit the model in place; returns the per-epoch history.
 
     The returned weights are those of the best-validation epoch. Training is
@@ -419,47 +456,8 @@ def train(model: ResNet, ds: Dataset, train_split: tuple, val_split: tuple,
     ss = np.random.SeedSequence([0x7EA1, int(seed)])
     shuffle_rng = np.random.default_rng(ss.spawn(1)[0])
     dropout_rng = np.random.default_rng(ss.spawn(1)[0])
-
-    params = model.parameters()
-    adam = Adam(params, learning_rate=sched.initial_lr)
-    plateau = PlateauSchedule(sched)
-    history = TrainHistory()
-    best_state = [(n, a.copy()) for n, a in model.state_arrays()]
-    best_val = np.inf
-    n_tr = X_tr.shape[0]
-
-    for epoch in range(sched.max_epochs):
-        t0 = time.perf_counter()
-        perm = shuffle_rng.permutation(n_tr)
-        total = 0.0
-        for start in range(0, n_tr, sched.batch_size):
-            take = perm[start:start + sched.batch_size]
-            loss = _batch_loss(model, X_tr[take], y_tr[take], training=True,
-                               rng=dropout_rng)
-            val = loss.item()
-            if not np.isfinite(val):
-                raise RuntimeError(
-                    f"non-finite training loss at epoch {epoch}, "
-                    f"batch {start // sched.batch_size}")
-            adam.zero_grad()
-            loss.backward()
-            adam.step()
-            total += val * take.size
-        train_loss = total / n_tr
-        val_loss = evaluate_loss(model, X_va, y_va, batch_size=sched.batch_size,
-                                 workers=eval_workers)
-        decision = plateau.update(val_loss)
-        adam.learning_rate = plateau.lr
-        history.append(epoch, train_loss, val_loss, plateau.lr,
-                       time.perf_counter() - t0)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_state = [(n, a.copy()) for n, a in model.state_arrays()]
-            history.best_epoch = epoch
-        logger.info("epoch %d train %.5f val %.5f lr %.3g%s", epoch, train_loss,
-                    val_loss, plateau.lr, " *" if decision["improved"] else "")
-        if decision["stop"]:
-            break
-
-    model.load_state_arrays(best_state)
-    return history
+    return fit(model, np.arange(X_tr.shape[0]),
+               lambda take: _batch_loss(model, X_tr[take], y_tr[take],
+                                        training=True, rng=dropout_rng),
+               lambda: evaluate_loss(model, X_va, y_va, batch_size=sched.batch_size),
+               sched, shuffle_rng)

@@ -16,8 +16,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .binning import BinSpec, DensityGrid
 from .checkpoint import load_checkpoint, save_checkpoint
-from .nn import Adam, Dense
-from .resnet import PlateauSchedule, TrainingSchedule
+from .nn import Dense
+from .resnet import TrainingSchedule, fit
 
 logger = logging.getLogger(__name__)
 
@@ -190,43 +190,19 @@ def train_stack(outputs: list, true_bins: np.ndarray, binspec: BinSpec,
     n_val = max(1, int(0.1 * perm.size))
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
 
-    params = model.parameters()
-    adam = Adam(params, learning_rate=sched.initial_lr)
-    plateau = PlateauSchedule(sched)
-    best_state = [(n, a.copy()) for n, a in model.state_arrays()]
-    best_val = np.inf
+    def rows_loss(take):
+        probs = ad.softmax(model.forward(feats[take]), axis=1)
+        return ad.sparse_categorical_cross_entropy(probs, y[take])
 
-    def eval_rows(idx):
+    def val_loss():
         total = 0.0
-        for i in range(0, idx.size, batch_rows):
-            take = idx[i:i + batch_rows]
-            probs = ad.softmax(model.forward(feats[take]), axis=1)
-            loss = ad.sparse_categorical_cross_entropy(probs, y[take])
-            total += loss.item() * take.size
-        return total / idx.size
+        for i in range(0, val_idx.size, batch_rows):
+            take = val_idx[i:i + batch_rows]
+            total += rows_loss(take).item() * take.size
+        return total / val_idx.size
 
-    for epoch in range(sched.max_epochs):
-        order = shuffle_rng.permutation(tr_idx)
-        for i in range(0, order.size, sched.batch_size):
-            take = order[i:i + sched.batch_size]
-            probs = ad.softmax(model.forward(feats[take]), axis=1)
-            loss = ad.sparse_categorical_cross_entropy(probs, y[take])
-            if not np.isfinite(loss.item()):
-                raise RuntimeError(f"non-finite stack loss at epoch {epoch}")
-            adam.zero_grad()
-            loss.backward()
-            adam.step()
-        val = eval_rows(val_idx)
-        decision = plateau.update(val)
-        adam.learning_rate = plateau.lr
-        if val < best_val:
-            best_val = val
-            best_state = [(n, a.copy()) for n, a in model.state_arrays()]
-        logger.info("stack epoch %d val %.5f lr %.3g", epoch, val, plateau.lr)
-        if decision["stop"]:
-            break
-
-    model.load_state_arrays(best_state)
+    fit(model, tr_idx, rows_loss, val_loss, sched, shuffle_rng, log=logger,
+        label="stack epoch")
     return model
 
 

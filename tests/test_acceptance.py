@@ -23,7 +23,7 @@ from probcast.exploration import (ExperimentSpec, ImportanceRow, run_benchmark,
 from probcast.grid import (Dataset, GridSpec, SplitPlan, climatology,
                            persistence_forecast)
 from probcast.resnet import (PlateauSchedule, ResNet, ResNetConfig,
-                             TrainingSchedule, build_model, build_samples, train)
+                             TrainingSchedule, build_samples, train)
 from probcast.stacking import (LearnerOutput, average_combine, stack_predict,
                                train_stack)
 from probcast.synth import SynthConfig, synth_generate, with_leaked_variable, with_noise_variable
@@ -49,7 +49,7 @@ def toy_run():
     cfg = ResNetConfig(inputs=[("z", 500), ("t", 850)], target=("z", 500),
                        lead_hours=LEAD_HOURS, n_blocks=2, n_bins=10,
                        dropout_rate=0.1)
-    model = build_model(cfg, seed=0)
+    model = ResNet(cfg, seed=0)
     sched = TrainingSchedule(initial_lr=2e-3, max_epochs=8, batch_size=32)
     train(model, ds, splits.train, splits.neural_validation, sched, seed=0)
     X_test, truth_test, _ = build_samples(ds, cfg, splits.test)
@@ -371,7 +371,7 @@ def stack_run():
         cfg = ResNetConfig(inputs=inputs, target=("z", 500),
                            lead_hours=LEAD_HOURS, n_blocks=1, n_bins=20,
                            dropout_rate=0.1)
-        model = build_model(cfg, seed=seed)
+        model = ResNet(cfg, seed=seed)
         train(model, ds, splits.train, splits.neural_validation, sched,
               seed=seed)
         models.append(model)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -122,6 +123,32 @@ class TestPipeline:
                    "--learners", learners, "--out", out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["weighted_rmse"] > 0
+
+    @pytest.mark.parametrize("altered", [("m2_test",), ("m1_test", "m2_test")])
+    def test_evaluate_stack_refuses_other_bin_spec(self, pipeline, altered,
+                                                   tmp_path):
+        root, _ = pipeline
+        dirs = {name: root / name for name in ("m1_test", "m2_test")}
+        for name in altered:
+            dirs[name] = tmp_path / name
+            shutil.copytree(root / name, dirs[name])
+            manifest = json.loads((dirs[name] / "manifest.json").read_text())
+            manifest["binspec"]["v_max"] += 1.0
+            (dirs[name] / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "eval"
+        with pytest.raises(SystemExit, match="bin spec"):
+            run("evaluate", "--stack", root / "stack" / "stack.pwnn", "--learners",
+                f"{dirs['m1_test']},{dirs['m2_test']}", "--out", out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", [["train"], ["explore", "--levels", "z:850"]])
+    def test_epochs_below_one_is_usage_error(self, pipeline, cmd, tmp_path):
+        _, data = pipeline
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*cmd, "--data", data, "--seed", 1, "--epochs", 0, "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_baselines_command(self, pipeline, capsys):
         root, data = pipeline

@@ -5,7 +5,7 @@ from probcast.binning import BinSpec, DensityGrid, expectation
 from probcast.ensemble import (EnsembleSet, ensemble_spread, generate_ensemble,
                                linear_pool, spread_skill_ratio)
 from probcast.grid import GridSpec, SplitPlan
-from probcast.resnet import ResNetConfig, TrainingSchedule, build_model, build_samples, train
+from probcast.resnet import ResNet, ResNetConfig, TrainingSchedule, build_samples, train
 from probcast.synth import SynthConfig, synth_generate
 
 
@@ -24,7 +24,7 @@ def trained_toy():
     splits = SplitPlan.from_fractions(ds.n_time, 0.6, 0.1, 0.15, 0.15)
     cfg = ResNetConfig(inputs=[("z", 500), ("t", 850)], target=("z", 500),
                        lead_hours=72, n_blocks=1, n_bins=10, dropout_rate=0.1)
-    model = build_model(cfg, seed=1)
+    model = ResNet(cfg, seed=1)
     sched = TrainingSchedule(initial_lr=1e-3, max_epochs=4, batch_size=32)
     train(model, ds, splits.train, splits.neural_validation, sched, seed=1)
     X, truth, _ = build_samples(ds, cfg, splits.test)
@@ -57,7 +57,7 @@ class TestGenerateEnsemble:
         cfg_nd = ResNetConfig(inputs=model.cfg.inputs, target=model.cfg.target,
                               lead_hours=model.cfg.lead_hours, n_blocks=1,
                               n_bins=10, dropout_rate=None)
-        bare = build_model(cfg_nd, seed=1)
+        bare = ResNet(cfg_nd, seed=1)
         with pytest.raises(ValueError, match="no dropout layer"):
             generate_ensemble(bare, X, n_members=2, master_seed=0)
 

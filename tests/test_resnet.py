@@ -8,7 +8,7 @@ from probcast.autodiff import Tensor
 from probcast.binning import discretize
 from probcast.grid import SplitPlan, climatology
 from probcast.resnet import (CONTINUOUS, PlateauSchedule, ResNet, ResNetConfig,
-                             TrainingSchedule, build_model, build_samples,
+                             TrainingSchedule, build_samples,
                              evaluate_loss, fit_statistics, train)
 from probcast.synth import SynthConfig, synth_generate
 from probcast.verification import weighted_rmse
@@ -65,7 +65,7 @@ class TestConfig:
 class TestBuildModel:
     def test_parameter_count_closed_form(self):
         cfg = toy_config(n_blocks=3, n_bins=7, kernel=5)
-        model = build_model(cfg, seed=0)
+        model = ResNet(cfg, seed=0)
         ch, k, cin = cfg.channels, cfg.kernel, len(cfg.inputs)
         expected = (ch * cin * k * k + ch                       # projection
                     + cfg.n_blocks * (ch * ch * k * k + ch + 2 * ch)  # blocks
@@ -73,14 +73,14 @@ class TestBuildModel:
         assert model.n_parameters() == expected
 
     def test_same_seed_identical_weights(self):
-        a = build_model(toy_config(), seed=5)
-        b = build_model(toy_config(), seed=5)
+        a = ResNet(toy_config(), seed=5)
+        b = ResNet(toy_config(), seed=5)
         for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(ta.data, tb.data)
 
     def test_different_seed_differs(self):
-        a = build_model(toy_config(), seed=5)
-        b = build_model(toy_config(), seed=6)
+        a = ResNet(toy_config(), seed=5)
+        b = ResNet(toy_config(), seed=6)
         assert any(not np.array_equal(ta.data, tb.data)
                    for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()))
 
@@ -88,7 +88,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("training", [False, True])
     def test_zeroed_residual_branches_are_identity(self, norm, training):
         cfg = toy_config(n_blocks=2, norm=norm, dropout_rate=0.2)
-        model = build_model(cfg, seed=1)
+        model = ResNet(cfg, seed=1)
         identity_stats(model, 2)
         for blk in model.blocks:
             blk["conv"].w.data[:] = 0.0
@@ -141,7 +141,7 @@ class TestTraining:
     def test_toy_training_beats_uniform(self, toy_data):
         ds, splits = toy_data
         cfg = toy_config()
-        model = build_model(cfg, seed=0)
+        model = ResNet(cfg, seed=0)
         sched = TrainingSchedule(initial_lr=1e-3, max_epochs=6, batch_size=32)
         hist = train(model, ds, splits.train, splits.neural_validation, sched,
                      seed=0)
@@ -153,7 +153,7 @@ class TestTraining:
         sched = TrainingSchedule(initial_lr=1e-3, max_epochs=3, batch_size=32)
         runs = []
         for _ in range(2):
-            model = build_model(toy_config(), seed=3)
+            model = ResNet(toy_config(), seed=3)
             hist = train(model, ds, splits.train, splits.neural_validation,
                          sched, seed=3)
             runs.append((hist, model.state_arrays()))
@@ -165,7 +165,7 @@ class TestTraining:
 
     def test_lr_non_increasing_and_exact_factor(self, toy_data):
         ds, splits = toy_data
-        model = build_model(toy_config(), seed=1)
+        model = ResNet(toy_config(), seed=1)
         # aggressive patience so reductions actually fire on the toy run
         sched = TrainingSchedule(initial_lr=1e-3, max_epochs=10, batch_size=64,
                                  lr_patience_epochs=1, stop_patience_epochs=3,
@@ -181,7 +181,7 @@ class TestTraining:
     def test_best_epoch_weights_restored(self, toy_data):
         ds, splits = toy_data
         cfg = toy_config()
-        model = build_model(cfg, seed=2)
+        model = ResNet(cfg, seed=2)
         sched = TrainingSchedule(initial_lr=3e-3, max_epochs=6, batch_size=32)
         hist = train(model, ds, splits.train, splits.neural_validation, sched,
                      seed=2)
@@ -193,14 +193,14 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_carries_context(self, toy_data):
         ds, splits = toy_data
-        model = build_model(toy_config(), seed=0)
+        model = ResNet(toy_config(), seed=0)
         sched = TrainingSchedule(initial_lr=1e30, max_epochs=3, batch_size=32)
         with pytest.raises((RuntimeError, FloatingPointError)):
             train(model, ds, splits.train, splits.neural_validation, sched, seed=0)
 
     def test_history_csv_shape(self, toy_data):
         ds, splits = toy_data
-        model = build_model(toy_config(), seed=0)
+        model = ResNet(toy_config(), seed=0)
         sched = TrainingSchedule(initial_lr=1e-3, max_epochs=2, batch_size=64)
         hist = train(model, ds, splits.train, splits.neural_validation, sched,
                      seed=0)
@@ -213,7 +213,7 @@ class TestPrediction:
     def test_density_deterministic_without_dropout(self, toy_data):
         ds, splits = toy_data
         cfg = toy_config()
-        model = build_model(cfg, seed=0)
+        model = ResNet(cfg, seed=0)
         fit_statistics(model, ds, splits.train)
         X, _, _ = build_samples(ds, cfg, splits.test)
         a = model.predict_density(X[:4]).probs
@@ -223,7 +223,7 @@ class TestPrediction:
     def test_densities_are_valid(self, toy_data):
         ds, splits = toy_data
         cfg = toy_config()
-        model = build_model(cfg, seed=0)
+        model = ResNet(cfg, seed=0)
         fit_statistics(model, ds, splits.train)
         X, _, _ = build_samples(ds, cfg, splits.test)
         d = model.predict_density(X[:8])
@@ -233,7 +233,7 @@ class TestPrediction:
     def test_dropout_streams_differ(self, toy_data):
         ds, splits = toy_data
         cfg = toy_config(dropout_rate=0.3)
-        model = build_model(cfg, seed=0)
+        model = ResNet(cfg, seed=0)
         fit_statistics(model, ds, splits.train)
         X, _, _ = build_samples(ds, cfg, splits.test)
         a = model.predict_density(X[:4], dropout_enabled=True,
@@ -244,8 +244,8 @@ class TestPrediction:
 
     def test_mode_errors(self, toy_data):
         ds, splits = toy_data
-        cat = build_model(toy_config(), seed=0)
-        cont = build_model(toy_config(mode=CONTINUOUS, channels=8), seed=0)
+        cat = ResNet(toy_config(), seed=0)
+        cont = ResNet(toy_config(mode=CONTINUOUS, channels=8), seed=0)
         fit_statistics(cat, ds, splits.train)
         fit_statistics(cont, ds, splits.train)
         X, _, _ = build_samples(ds, cat.cfg, splits.test)
@@ -257,7 +257,7 @@ class TestPrediction:
     def test_zeroed_output_layer_predicts_climatological_mean(self, toy_data):
         ds, splits = toy_data
         cfg = toy_config(mode=CONTINUOUS, channels=8)
-        model = build_model(cfg, seed=0)
+        model = ResNet(cfg, seed=0)
         fit_statistics(model, ds, splits.train)
         model.conv_out.w.data[:] = 0.0
         model.conv_out.b.data[:] = 0.0
@@ -269,7 +269,7 @@ class TestPrediction:
     def test_continuous_toy_model_beats_climatology(self, toy_data):
         ds, splits = toy_data
         cfg = toy_config(mode=CONTINUOUS, channels=10, n_blocks=1)
-        model = build_model(cfg, seed=4)
+        model = ResNet(cfg, seed=4)
         sched = TrainingSchedule(initial_lr=1e-3, max_epochs=8, batch_size=32)
         train(model, ds, splits.train, splits.neural_validation, sched, seed=4)
         X, truth, _ = build_samples(ds, cfg, splits.test)
@@ -285,7 +285,7 @@ class TestCheckpoint:
     def test_round_trip_preserves_predictions(self, toy_data, tmp_path):
         ds, splits = toy_data
         cfg = toy_config()
-        model = build_model(cfg, seed=7)
+        model = ResNet(cfg, seed=7)
         sched = TrainingSchedule(initial_lr=1e-3, max_epochs=2, batch_size=64)
         train(model, ds, splits.train, splits.neural_validation, sched, seed=7)
         path = tmp_path / "model.pwnn"
@@ -299,7 +299,7 @@ class TestCheckpoint:
 
     def test_resave_is_byte_identical(self, toy_data, tmp_path):
         ds, splits = toy_data
-        model = build_model(toy_config(), seed=7)
+        model = ResNet(toy_config(), seed=7)
         fit_statistics(model, ds, splits.train)
         p1, p2 = tmp_path / "a.pwnn", tmp_path / "b.pwnn"
         model.save(p1)

@@ -102,6 +102,26 @@ class TestTrainStack:
             train_stack(learners, bins, spec, sched=sched, seed=0)
         assert any("single bin" in r.message for r in caplog.records)
 
+    def test_one_epoch_record_per_epoch(self, toy_learners, caplog):
+        spec, truth, learners = toy_learners
+        bins = discretize(truth, spec).bins
+        sched = TrainingSchedule(initial_lr=1e-3, max_epochs=3, batch_size=4096,
+                                 stop_patience_epochs=4)
+        import logging
+        with caplog.at_level(logging.INFO, logger="probcast.stacking"):
+            train_stack(learners, bins, spec, sched=sched, seed=0)
+        epochs = [r for r in caplog.records if r.name == "probcast.stacking"
+                  and r.levelno == logging.INFO
+                  and str(r.msg).startswith("stack epoch")]
+        assert len(epochs) == 3
+
+    def test_nan_abort(self, toy_learners):
+        spec, truth, learners = toy_learners
+        bins = discretize(truth, spec).bins
+        sched = TrainingSchedule(initial_lr=1e30, max_epochs=3, batch_size=1024)
+        with pytest.raises((RuntimeError, FloatingPointError)):
+            train_stack(learners, bins, spec, sched=sched, seed=0)
+
 
 @pytest.fixture(scope="module")
 def trained(toy_learners):
