@@ -8,6 +8,7 @@ u8 ndim, u32 dims, then f32 data. Arrays round-trip byte-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -58,15 +59,24 @@ def load_checkpoint(path):
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
-    config = json.loads(take(cfg_len).decode("utf-8"))
+    raw = take(cfg_len)
+    try:
+        config = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"undecodable checkpoint config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CheckpointError("checkpoint config is not a JSON object")
     (n_arrays,) = struct.unpack("<I", take(4))
     arrays = []
     for _ in range(n_arrays):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"undecodable array name: {exc}") from exc
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape).copy()
         arrays.append((name, data))
     if pos != len(blob):

@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="train,neural_val,stacked_val,test fractions")
     tp.add_argument("--lr", type=float, default=1e-3)
     tp.add_argument("--epochs", type=_positive_int, default=20)
-    tp.add_argument("--batch-size", type=int, default=32)
+    tp.add_argument("--batch-size", type=_positive_int, default=32)
     tp.set_defaults(func=cmd_train)
 
     ep = sub.add_parser("ensemble", help="dropout-at-inference ensemble")
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--model", required=True, help="model.pwnn path")
     ep.add_argument("--out", required=True)
     ep.add_argument("--seed", type=int, required=True)
-    ep.add_argument("--members", type=int, default=32)
+    ep.add_argument("--members", type=_positive_int, default=32)
     ep.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15])
     ep.add_argument("--split-name", default="test",
                     choices=("train", "neural_validation", "stacked_validation",
@@ -414,11 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     xp.add_argument("--lead-hours", type=int, default=72)
     xp.add_argument("--blocks", type=int, default=1)
     xp.add_argument("--bins", type=int, default=10)
-    xp.add_argument("--members", type=int, default=8)
+    xp.add_argument("--members", type=_positive_int, default=8)
     xp.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15])
     xp.add_argument("--lr", type=float, default=1e-3)
     xp.add_argument("--epochs", type=_positive_int, default=8)
-    xp.add_argument("--batch-size", type=int, default=32)
+    xp.add_argument("--batch-size", type=_positive_int, default=32)
     xp.set_defaults(func=cmd_explore)
 
     cp = sub.add_parser("contours", help="CDF threshold contour maps")

@@ -48,11 +48,8 @@ def generate_ensemble(model: ResNet, x_raw: np.ndarray, n_members: int = 32,
         raise ValueError("n_members must be positive")
     seed_rng = np.random.default_rng(np.random.SeedSequence([0xE45, int(master_seed)]))
     seeds = [int(s) for s in seed_rng.integers(0, 2 ** 63 - 1, size=n_members)]
-    members = []
-    for s in seeds:
-        rng = np.random.default_rng(np.random.SeedSequence(s))
-        members.append(model.predict_density(x_raw, dropout_enabled=True, rng=rng))
-    return EnsembleSet(members, seeds)
+    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
+    return EnsembleSet(model.predict_densities(x_raw, rngs), seeds)
 
 
 def linear_pool(members: list, weights=None) -> DensityGrid:

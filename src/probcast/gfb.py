@@ -110,7 +110,10 @@ def load_dataset(path) -> Dataset:
     variables = []
     for _ in range(n_var):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GFBDecodeError(f"undecodable variable name: {exc}") from exc
         (level_code,) = r.unpack("<i")
         variables.append((name, _decode_level(level_code)))
     payload = np.frombuffer(r.take(4 * n_time * n_var * n_lat * n_lon), dtype="<f4")

@@ -297,14 +297,29 @@ class ResNet:
                 rng: np.random.Generator | None = None,
                 update_stats: bool | None = None) -> Tensor:
         """Raw input channels (B, C, H, W) to output logits/values tensor."""
+        return self._head(*self._trunk(x_raw, training, update_stats),
+                          training, dropout_enabled, rng, update_stats)
+
+    def _block_body(self, blk: dict, y: Tensor, training: bool,
+                    update_stats: bool | None) -> Tensor:
+        h = blk["conv"](y)
+        h = blk["norm"](h, training=training, update_stats=update_stats)
+        return ad.leaky_relu(h, LEAKY_ALPHA)
+
+    def _trunk(self, x_raw: np.ndarray, training: bool,
+               update_stats: bool | None) -> tuple:
+        """Everything before the first dropout: conv_in's output and block 0's body."""
+        y = self.conv_in(Tensor(self._standardize(np.asarray(x_raw))))
+        return y, self._block_body(self.blocks[0], y, training, update_stats)
+
+    def _head(self, y: Tensor, h: Tensor, training: bool, dropout_enabled: bool,
+              rng: np.random.Generator | None, update_stats: bool | None) -> Tensor:
+        """Block 0's dropout and skip, the remaining blocks, then conv_out."""
         rate = self.cfg.dropout_rate
         use_dropout = dropout_enabled and rate is not None and rate > 0
-        x = Tensor(self._standardize(np.asarray(x_raw)))
-        y = self.conv_in(x)
-        for blk in self.blocks:
-            h = blk["conv"](y)
-            h = blk["norm"](h, training=training, update_stats=update_stats)
-            h = ad.leaky_relu(h, LEAKY_ALPHA)
+        for i, blk in enumerate(self.blocks):
+            if i:
+                h = self._block_body(blk, y, training, update_stats)
             if use_dropout:
                 h = ad.dropout(h, rate, rng)
             y = ad.add(y, h)
@@ -314,21 +329,35 @@ class ResNet:
                         rng: np.random.Generator | None = None,
                         batch_size: int = 64) -> DensityGrid:
         """Normalized per-gridpoint densities, probs shaped (B, H, W, n_bins)."""
+        return self.predict_densities(x_raw, [rng], dropout_enabled, batch_size)[0]
+
+    def predict_densities(self, x_raw: np.ndarray, rngs: list,
+                          dropout_enabled: bool = True,
+                          batch_size: int = 64) -> list:
+        """One density per rng stream, each as predict_density would give it.
+
+        Each batch runs the trunk once, then the head once per stream. A
+        stream draws its dropout masks in the same batch order and shapes as
+        on its own, so every density is bit-identical to a lone pass.
+        """
         if self.cfg.mode != CATEGORICAL:
             raise ValueError("predict_density requires a categorical model")
         if self.binspec is None:
             raise RuntimeError("model has no bin spec; train or fit first")
-        outs = []
         x_raw = np.asarray(x_raw)
-        for i in range(0, x_raw.shape[0], batch_size):
-            logits = self.forward(x_raw[i:i + batch_size], training=False,
-                                  dropout_enabled=dropout_enabled, rng=rng).data
-            z = logits.astype(np.float64)
-            z -= z.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            probs = e / e.sum(axis=1, keepdims=True)
-            outs.append(np.moveaxis(probs, 1, -1))
-        return DensityGrid(np.concatenate(outs, axis=0), self.binspec)
+        n, _, n_lat, n_lon = x_raw.shape
+        # bins stay the second axis in memory, as predict_density always laid
+        # them out: expectation()'s matmul rounds differently on other layouts
+        outs = [np.empty((n, self.cfg.n_bins, n_lat, n_lon)) for _ in rngs]
+        for i in range(0, n, batch_size):
+            y, h = self._trunk(x_raw[i:i + batch_size], False, None)
+            for out, rng in zip(outs, rngs):
+                z = self._head(y, h, False, dropout_enabled, rng,
+                               None).data.astype(np.float64)
+                z -= z.max(axis=1, keepdims=True)
+                e = np.exp(z)
+                np.divide(e, e.sum(axis=1, keepdims=True), out=out[i:i + batch_size])
+        return [DensityGrid(np.moveaxis(out, 1, -1), self.binspec) for out in outs]
 
     def predict_continuous(self, x_raw: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Real-valued field predictions in target units, shape (B, H, W)."""

@@ -141,12 +141,20 @@ class TestPipeline:
                 f"{dirs['m1_test']},{dirs['m2_test']}", "--out", out)
         assert not out.exists()
 
-    @pytest.mark.parametrize("cmd", [["train"], ["explore", "--levels", "z:850"]])
+    @pytest.mark.parametrize("cmd", [
+        ["train", "--epochs", 0],
+        ["explore", "--levels", "z:850", "--epochs", 0],
+        ["train", "--batch-size", 0],
+        ["explore", "--levels", "z:850", "--batch-size", 0],
+        ["ensemble", "--model", "m1/model.pwnn", "--members", 0],
+        ["explore", "--levels", "z:850", "--members", 0],
+    ])
     def test_epochs_below_one_is_usage_error(self, pipeline, cmd, tmp_path):
-        _, data = pipeline
+        root, data = pipeline
+        cmd = [root / a if a == "m1/model.pwnn" else a for a in cmd]
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            run(*cmd, "--data", data, "--seed", 1, "--epochs", 0, "--out", out)
+            run(*cmd, "--data", data, "--seed", 1, "--out", out)
         assert exc.value.code == 2
         assert not out.exists()
 

@@ -62,6 +62,64 @@ class TestGenerateEnsemble:
             generate_ensemble(bare, X, n_members=2, master_seed=0)
 
 
+def _with_blocks(model, n_blocks):
+    """The fixture's learner, or a fresh one with its statistics and n_blocks blocks."""
+    if n_blocks == model.cfg.n_blocks:
+        return model
+    cfg = ResNetConfig(inputs=model.cfg.inputs, target=model.cfg.target,
+                       lead_hours=model.cfg.lead_hours, n_blocks=n_blocks,
+                       n_bins=model.cfg.n_bins, dropout_rate=model.cfg.dropout_rate)
+    other = ResNet(cfg, seed=2)
+    other.input_mean, other.input_std = model.input_mean, model.input_std
+    other.binspec = model.binspec
+    return other
+
+
+def _forward_density(model, X, rng, batch_size=64):
+    """Reference for the shared loop: softmax of forward, batch by batch."""
+    outs = []
+    for i in range(0, X.shape[0], batch_size):
+        z = model.forward(X[i:i + batch_size], dropout_enabled=True,
+                          rng=rng).data.astype(np.float64)
+        z -= z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        outs.append(np.moveaxis(e / e.sum(axis=1, keepdims=True), 1, -1))
+    return np.concatenate(outs)
+
+
+class TestSharedTrunk:
+    """Members share each batch's trunk yet equal their own lone passes."""
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_members_equal_lone_passes(self, trained_toy, n_blocks):
+        ds, model, X, _ = trained_toy
+        model = _with_blocks(model, n_blocks)
+        X = np.concatenate([X] * 4)  # 80 samples: one batch of 64, a ragged one of 16
+        ens = generate_ensemble(model, X, n_members=3, master_seed=5)
+        for member, seed in zip(ens.members, ens.member_seeds):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            alone = model.predict_density(X, dropout_enabled=True, rng=rng)
+            np.testing.assert_array_equal(member.probs, alone.probs)
+        rng = np.random.default_rng(np.random.SeedSequence(ens.member_seeds[0]))
+        reference = DensityGrid(_forward_density(model, X, rng), model.binspec)
+        np.testing.assert_array_equal(ens.members[0].probs, reference.probs)
+        np.testing.assert_array_equal(expectation(ens.members[0]), expectation(reference))
+        assert not np.array_equal(ens.members[0].probs, ens.members[1].probs)
+
+    def test_streams_equal_forward_passes_at_any_batch_size(self, trained_toy):
+        ds, model, X, _ = trained_toy
+        rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in (3, 4)]
+        small = model.predict_densities(X, rngs, batch_size=7)
+        for seed, got in zip((3, 4), small):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            np.testing.assert_array_equal(got.probs, _forward_density(model, X, rng, 7))
+
+    def test_enabled_dropout_without_rng_rejected(self, trained_toy):
+        ds, model, X, _ = trained_toy
+        with pytest.raises(ValueError, match="enabled dropout needs an rng stream"):
+            model.predict_density(X, dropout_enabled=True, rng=None)
+
+
 class TestLinearPool:
     def test_identical_members_unchanged(self):
         rng = np.random.default_rng(0)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probcast.gfb import GFBDecodeError, load_dataset, save_dataset
 from probcast.grid import CONSTANT, SURFACE, Dataset, GridSpec
@@ -87,3 +89,49 @@ def test_nan_payload_names_index(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(GFBDecodeError, match=r"time=2 var=1 lat=3 lon=4"):
         load_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    """A valid GFB1 file of a few hundred bytes, so flips often hit the header."""
+    grid = GridSpec.regular(2, 3)
+    data = np.arange(2 * 2 * 2 * 3, dtype=np.float32).reshape(2, 2, 2, 3)
+    ds = Dataset(grid, [("z", 500), ("solar", SURFACE)], data, epoch_hours_start=0,
+                 step_hours=6)
+    path = tmp_path_factory.mktemp("gfb") / "small.gfb"
+    save_dataset(ds, path)
+    return path, path.read_bytes()
+
+
+def test_corrupt_variable_name_is_typed_error(small_file, tmp_path):
+    path, blob = small_file
+    blob = bytearray(blob)
+    blob[blob.index(b"solar")] = 0xFF
+    bad = tmp_path / "bad.gfb"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(GFBDecodeError, match="variable name"):
+        load_dataset(bad)
+
+
+def test_every_truncation_is_typed_error(small_file, tmp_path):
+    _, blob = small_file
+    path = tmp_path / "cut.gfb"
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(GFBDecodeError):
+            load_dataset(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_single_byte_flip_loads_or_is_typed_error(small_file, data):
+    path, blob = small_file
+    flipped = bytearray(blob)
+    pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+    flipped[pos] ^= data.draw(st.integers(1, 255), label="xor mask")
+    path = path.with_name("flip.gfb")
+    path.write_bytes(bytes(flipped))
+    try:
+        load_dataset(path)
+    except GFBDecodeError:
+        pass
