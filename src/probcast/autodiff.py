@@ -204,11 +204,17 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, _parents=(x, w, b), _vjp=vjp)
 
 
+def softmax_array(z: np.ndarray, axis: int = 1, out=None) -> np.ndarray:
+    """Stable softmax of a plain array, computed in one array (out when given)."""
+    e = np.subtract(z, z.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
 def softmax(x: Tensor, axis: int = 1) -> Tensor:
     """Numerically stable softmax along one axis."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=axis, keepdims=True)
+    probs = softmax_array(x.data, axis)
 
     def vjp(g):
         inner = (g * probs).sum(axis=axis, keepdims=True)
@@ -254,45 +260,13 @@ def mse_loss(pred: Tensor, target) -> Tensor:
                   _vjp=lambda g: ((2.0 * float(g) / n) * diff,))
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mean: np.ndarray,
-               var: np.ndarray, eps: float = 1e-5, stats_from_batch: bool = True) -> Tensor:
-    """Per-channel normalization of (B, C, H, W).
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
+               var: np.ndarray, eps: float, stat_axes: tuple | None) -> Tensor:
+    """(x - mu) / sqrt(var + eps), then scale/shift per channel of (B, C, H, W).
 
-    With stats_from_batch the supplied mean/var must be the batch statistics
-    of x (the backward pass differentiates through them); otherwise they are
-    treated as constants (inference with running statistics).
+    mu and var are x's statistics over stat_axes, which the backward pass
+    differentiates through, or constants when stat_axes is None.
     """
-    mu = mean.reshape(1, -1, 1, 1)
-    v = var.reshape(1, -1, 1, 1)
-    inv = 1.0 / np.sqrt(v + eps)
-    xhat = (x.data - mu) * inv
-    ga = gamma.data.reshape(1, -1, 1, 1)
-    out = ga * xhat + beta.data.reshape(1, -1, 1, 1)
-
-    axes = (0, 2, 3)
-
-    def vjp(g):
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        dx = None
-        if x.requires_grad:
-            dxhat = g * ga
-            if stats_from_batch:
-                term = (dxhat - dxhat.mean(axis=axes, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
-                dx = inv * term
-            else:
-                dx = dxhat * inv
-        return dx, dgamma, dbeta
-
-    return Tensor(out, _parents=(x, gamma, beta), _vjp=vjp)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each sample over (C, H, W), then scale/shift per channel."""
-    axes = (1, 2, 3)
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     ga = gamma.data.reshape(1, -1, 1, 1)
@@ -304,9 +278,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dx = None
         if x.requires_grad:
             dxhat = g * ga
-            term = (dxhat - dxhat.mean(axis=axes, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
-            dx = inv * term
+            if stat_axes is None:
+                dx = dxhat * inv
+            else:
+                term = (dxhat - dxhat.mean(axis=stat_axes, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=stat_axes, keepdims=True))
+                dx = inv * term
         return dx, dgamma, dbeta
 
     return Tensor(out, _parents=(x, gamma, beta), _vjp=vjp)
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mean: np.ndarray,
+               var: np.ndarray, eps: float = 1e-5, stats_from_batch: bool = True) -> Tensor:
+    """Per-channel normalization of (B, C, H, W).
+
+    With stats_from_batch the supplied mean/var must be the batch statistics
+    of x (the backward pass differentiates through them); otherwise they are
+    treated as constants (inference with running statistics).
+    """
+    return _normalize(x, gamma, beta, mean.reshape(1, -1, 1, 1),
+                      var.reshape(1, -1, 1, 1), eps,
+                      (0, 2, 3) if stats_from_batch else None)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize each sample over (C, H, W), then scale/shift per channel."""
+    axes = (1, 2, 3)
+    return _normalize(x, gamma, beta, x.data.mean(axis=axes, keepdims=True),
+                      x.data.var(axis=axes, keepdims=True), eps, axes)

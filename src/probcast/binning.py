@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,11 +49,11 @@ class BinSpec:
         return self.v_min + np.arange(self.n_bins) * self.width
 
     def to_json_dict(self) -> dict:
-        return {"v_min": self.v_min, "v_max": self.v_max, "n_bins": self.n_bins}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BinSpec":
-        return cls(float(d["v_min"]), float(d["v_max"]), int(d["n_bins"]))
+        return cls(**d)
 
 
 @dataclass
@@ -82,11 +82,12 @@ class DensityGrid:
             raise ValueError("density bin axis does not match spec")
 
     def validate(self, tol: float = 1e-6) -> None:
-        if self.probs.min() < -tol or self.probs.max() > 1 + tol:
+        # written so that NaN, which fails every comparison, is rejected
+        if not (self.probs.min() >= -tol and self.probs.max() <= 1 + tol):
             raise ValueError("density entries outside [0, 1]")
         sums = self.probs.sum(axis=-1, dtype=np.float64)
         worst = np.abs(sums - 1.0).max()
-        if worst > tol:
+        if not worst <= tol:
             raise ValueError(f"density mass deviates from 1 by {worst:.3e}")
 
 
@@ -126,7 +127,7 @@ def _checked_probs(d: DensityGrid) -> np.ndarray:
     p = d.probs.astype(np.float64, copy=False)
     sums = p.sum(axis=-1)
     worst = np.abs(sums - 1.0).max()
-    if worst > NORMALIZATION_TOL:
+    if not worst <= NORMALIZATION_TOL:  # NaN fails this too
         raise ValueError(f"density not normalized: mass off by {worst:.3e}")
     return p
 

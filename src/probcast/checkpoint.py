@@ -1,4 +1,4 @@
-"""PWNN checkpoint container: config JSON plus named f32 arrays.
+"""PWNN checkpoint container (config JSON plus named f32 arrays) and model save/load.
 
 Little-endian layout: magic "PWNN"; u32 version; u32 config length and the
 JSON bytes; u32 array count; per array a u16 name length, UTF-8 name,
@@ -7,12 +7,15 @@ u8 ndim, u32 dims, then f32 data. Arrays round-trip byte-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from .binning import BinSpec
 
 MAGIC = b"PWNN"
 VERSION = 1
@@ -76,9 +79,69 @@ def load_checkpoint(path):
             raise CheckpointError(f"undecodable array name: {exc}") from exc
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        count = math.prod(shape)
-        data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape).copy()
+        raw = take(4 * math.prod(shape))
+        try:
+            data = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        except ValueError as exc:  # a zero dim beside dims too large for numpy
+            raise CheckpointError(f"array {name!r} has impossible shape {shape}") from exc
         arrays.append((name, data))
     if pos != len(blob):
         raise CheckpointError(f"{len(blob) - pos} trailing bytes in checkpoint")
     return config, arrays
+
+
+def snap_f32(a) -> np.ndarray:
+    """Round to f32 and back, so the value survives an f32 checkpoint exactly."""
+    return np.asarray(a).astype(np.float32).astype(np.float64)
+
+
+def save_model(path, model, kind: str, extra: tuple = ()) -> None:
+    """Write a model's header (kind, seed, config, bin spec, extra fields) and state."""
+    header = {"kind": kind, "seed": model.seed, "config": dataclasses.asdict(model.cfg)}
+    header.update((key, getattr(model, key)) for key in extra)
+    if model.binspec is not None:
+        header["binspec"] = dataclasses.asdict(model.binspec)
+    save_checkpoint(path, header, model.state_arrays())
+
+
+def load_model(path, cls, kind: str, config_cls, extra: tuple = ()):
+    """Rebuild a model saved by save_model as cls(config, seed=..., **extra)."""
+    header, arrays = load_checkpoint(path)
+    if header.get("kind") != kind:
+        raise CheckpointError(f"checkpoint at {path} is not a {kind} model")
+    unknown = header.keys() - {"kind", "seed", "config", "binspec", *extra}
+    if unknown:
+        raise CheckpointError(f"unknown header fields {sorted(unknown)} in {path}")
+    try:
+        model = cls(config_cls(**header["config"]), seed=header["seed"],
+                    **{key: header[key] for key in extra})
+        if "binspec" in header:
+            model.binspec = BinSpec(**header["binspec"])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad {kind} header in {path}: {exc!r}") from exc
+    if model.binspec is not None and model.binspec.n_bins != model.cfg.n_bins:
+        raise CheckpointError(f"bin spec of {path} does not match the model's bins")
+    model.load_state_arrays(arrays)
+    return model
+
+
+def restore_state(params: list, layout: list, arrays: list) -> dict:
+    """Load stored (name, array) pairs that match the (name, array) layout exactly.
+
+    Parameters, the (name, Tensor) pairs in params, take their arrays in their
+    own dtype; the rest of the layout is returned by name as f64 arrays.
+    """
+    table = dict(arrays)
+    shapes = {name: np.shape(a) for name, a in layout}
+    if len(table) != len(arrays) or table.keys() != shapes.keys():
+        raise CheckpointError(
+            f"stored arrays do not match the model: missing {sorted(shapes - table.keys())}, "
+            f"unexpected {sorted(table.keys() - shapes)}, {len(arrays) - len(table)} duplicates")
+    for name, a in table.items():
+        if a.shape != shapes[name]:
+            raise CheckpointError(f"array {name!r} has shape {a.shape}, the model needs "
+                                  f"{shapes[name]}")
+    for name, t in params:
+        t.data = table.pop(name).astype(t.data.dtype)
+        t.grad = None
+    return {name: a.astype(np.float64) for name, a in table.items()}

@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +159,10 @@ def _load_ensemble_dir(path):
     manifest = json.loads((path / "manifest.json").read_text())
     pooled = np.load(path / "pooled_probs.npy")
     truth = np.load(path / "truth.npy")
-    spec = BinSpec.from_json_dict(manifest["binspec"])
+    try:
+        spec = BinSpec.from_json_dict(manifest["binspec"])
+    except TypeError as exc:  # missing, unknown or ill-typed fields
+        raise ValueError(f"bad bin spec in {path / 'manifest.json'}: {exc}") from exc
     grid = GridSpec(np.array(manifest["latitudes_deg"]),
                     np.array(manifest["longitudes_deg"]))
     return manifest, DensityGrid(pooled, spec), truth, grid
@@ -273,7 +277,7 @@ def cmd_explore(args) -> int:
         n_members=args.members, seed=args.seed)
     _, (bench_mse, _, _) = exploration.run_benchmark(spec, ds, splits, sched)
     rows = []
-    specs = [spec.to_json_dict()]
+    specs = [asdict(spec)]
     for candidate in args.levels.split(";"):
         candidate = candidate.strip()
         if not candidate:
@@ -284,7 +288,7 @@ def cmd_explore(args) -> int:
             lead_hours=args.lead_hours, n_blocks=args.blocks, n_bins=args.bins,
             n_members=args.members, seed=args.seed)
         rows.append(exploration.run_candidate(cspec, bench_mse, ds, splits, sched))
-        specs.append(cspec.to_json_dict())
+        specs.append(asdict(cspec))
     report = exploration.build_report(bench_mse, rows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -37,15 +37,6 @@ class ExperimentSpec:
     def all_inputs(self) -> list:
         return list(self.base_inputs) + list(self.extra_inputs)
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name,
-                "base_inputs": [list(v) for v in self.base_inputs],
-                "extra_inputs": [list(v) for v in self.extra_inputs],
-                "target": list(self.target), "lead_hours": self.lead_hours,
-                "n_blocks": self.n_blocks, "n_bins": self.n_bins,
-                "kernel": self.kernel, "n_members": self.n_members,
-                "seed": self.seed}
-
 
 @dataclass
 class ImportanceRow:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .binning import BinSpec, DensityGrid, discretize, fit_bins
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, restore_state, save_model, snap_f32
 from .grid import Dataset
 from .nn import LEAKY_ALPHA, Adam, BatchNorm2d, Conv2d, LayerNorm2d
 
@@ -66,27 +66,11 @@ class ResNetConfig:
         return self.n_bins if self.mode == CATEGORICAL else 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "inputs": [[n, l] for n, l in self.inputs],
-            "target": [self.target[0], self.target[1]],
-            "lead_hours": self.lead_hours,
-            "n_blocks": self.n_blocks,
-            "n_bins": self.n_bins,
-            "mode": self.mode,
-            "channels": self.channels,
-            "kernel": self.kernel,
-            "dropout_rate": self.dropout_rate,
-            "norm": self.norm,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ResNetConfig":
-        def key(v):
-            return (v[0], v[1])
-        return cls(inputs=[key(v) for v in d["inputs"]], target=key(d["target"]),
-                   lead_hours=d["lead_hours"], n_blocks=d["n_blocks"],
-                   n_bins=d["n_bins"], mode=d["mode"], channels=d["channels"],
-                   kernel=d["kernel"], dropout_rate=d["dropout_rate"], norm=d["norm"])
+        return cls(**d)
 
 
 @dataclass
@@ -104,6 +88,8 @@ class TrainingSchedule:
             raise ValueError("patience must be at least 1 epoch")
         if self.lr_reduce_factor <= 1.0:
             raise ValueError("lr reduce factor must exceed 1")
+        if self.batch_size < 1 or self.max_epochs < 0:
+            raise ValueError("need batch_size >= 1 and max_epochs >= 0")
 
 
 class PlateauSchedule:
@@ -246,19 +232,14 @@ class ResNet:
         out += [("conv_out." + n, t) for n, t in self.conv_out.parameters()]
         return out
 
-    def buffers(self) -> list:
-        out = []
-        for i, blk in enumerate(self.blocks):
-            out += [(f"block{i}.norm.{n}", a) for n, a in blk["norm"].buffers()]
-        return out
-
     def n_parameters(self) -> int:
         return sum(t.data.size for _, t in self.parameters())
 
     def state_arrays(self) -> list:
         """Parameters, norm buffers and standardization stats, in fixed order."""
         out = [(n, t.data) for n, t in self.parameters()]
-        out += self.buffers()
+        for i, blk in enumerate(self.blocks):
+            out += [(f"block{i}.norm.{n}", a) for n, a in blk["norm"].buffers()]
         if self.input_mean is not None:
             out.append(("stats.input_mean", self.input_mean))
             out.append(("stats.input_std", self.input_std))
@@ -267,21 +248,19 @@ class ResNet:
         return out
 
     def load_state_arrays(self, arrays: list):
-        table = dict(arrays)
-        for name, t in self.parameters():
-            t.data = table.pop(name).astype(self.dtype).reshape(t.data.shape)
-            t.grad = None
+        layout = self.state_arrays()
+        if self.input_mean is None and any(n == "stats.input_mean" for n, _ in arrays):
+            unfit = np.zeros(len(self.cfg.inputs))  # not fit yet: take the stored stats
+            layout += [("stats.input_mean", unfit), ("stats.input_std", unfit)]
+        table = restore_state(self.parameters(), layout, arrays)
         for i, blk in enumerate(self.blocks):
-            bufs = blk["norm"].buffers()
-            if bufs:
-                blk["norm"].set_buffers(table.pop(f"block{i}.norm.running_mean"),
-                                        table.pop(f"block{i}.norm.running_var"))
+            blk["norm"].set_buffers(*(table[f"block{i}.norm.{n}"]
+                                      for n, _ in blk["norm"].buffers()))
         if "stats.input_mean" in table:
-            self.input_mean = table.pop("stats.input_mean").astype(np.float64)
-            self.input_std = table.pop("stats.input_std").astype(np.float64)
+            self.input_mean = table["stats.input_mean"]
+            self.input_std = table["stats.input_std"]
         if "stats.target" in table:
-            tm, ts = table.pop("stats.target")
-            self.target_mean, self.target_std = float(tm), float(ts)
+            self.target_mean, self.target_std = map(float, table["stats.target"])
 
     # --- forward ----------------------------------------------------------------
 
@@ -352,11 +331,8 @@ class ResNet:
         for i in range(0, n, batch_size):
             y, h = self._trunk(x_raw[i:i + batch_size], False, None)
             for out, rng in zip(outs, rngs):
-                z = self._head(y, h, False, dropout_enabled, rng,
-                               None).data.astype(np.float64)
-                z -= z.max(axis=1, keepdims=True)
-                e = np.exp(z)
-                np.divide(e, e.sum(axis=1, keepdims=True), out=out[i:i + batch_size])
+                z = self._head(y, h, False, dropout_enabled, rng, None).data
+                ad.softmax_array(z.astype(np.float64), 1, out=out[i:i + batch_size])
         return [DensityGrid(np.moveaxis(out, 1, -1), self.binspec) for out in outs]
 
     def predict_continuous(self, x_raw: np.ndarray, batch_size: int = 64) -> np.ndarray:
@@ -373,21 +349,11 @@ class ResNet:
     # --- persistence ------------------------------------------------------------
 
     def save(self, path):
-        cfg = {"kind": "resnet", "seed": self.seed, "config": self.cfg.to_json_dict()}
-        if self.binspec is not None:
-            cfg["binspec"] = self.binspec.to_json_dict()
-        save_checkpoint(path, cfg, self.state_arrays())
+        save_model(path, self, "resnet")
 
     @classmethod
     def load(cls, path) -> "ResNet":
-        cfg, arrays = load_checkpoint(path)
-        if cfg.get("kind") != "resnet":
-            raise ValueError(f"checkpoint at {path} is not a resnet model")
-        model = cls(ResNetConfig.from_json_dict(cfg["config"]), seed=cfg["seed"])
-        if "binspec" in cfg:
-            model.binspec = BinSpec.from_json_dict(cfg["binspec"])
-        model.load_state_arrays(arrays)
-        return model
+        return load_model(path, cls, "resnet", ResNetConfig)
 
 
 # --- data assembly ----------------------------------------------------------------
@@ -427,18 +393,17 @@ def fit_statistics(model: ResNet, ds: Dataset, train_split: tuple):
         raise ValueError("empty training split")
     idx = [ds.var_index(name, level) for name, level in cfg.inputs]
     block = ds.data[a:b][:, idx].astype(np.float64)
-    # stats snap to f32 so checkpoints (f32 arrays) round-trip losslessly
-    model.input_mean = block.mean(axis=(0, 2, 3)).astype(np.float32).astype(np.float64)
+    model.input_mean = snap_f32(block.mean(axis=(0, 2, 3)))
     std = np.where(block.std(axis=(0, 2, 3)) < 1e-12, 1.0, block.std(axis=(0, 2, 3)))
-    model.input_std = std.astype(np.float32).astype(np.float64)
+    model.input_std = snap_f32(std)
     tvals = ds.values(*cfg.target)[a:b].astype(np.float64)
     if cfg.mode == CATEGORICAL:
         model.binspec = fit_bins(ds, cfg.target[0], cfg.target[1], train_split,
                                  n_bins=cfg.n_bins)
     else:
-        model.target_mean = float(np.float32(tvals.mean()))
+        model.target_mean = float(snap_f32(tvals.mean()))
         tstd = float(tvals.std())
-        model.target_std = float(np.float32(tstd if tstd > 1e-12 else 1.0))
+        model.target_std = float(snap_f32(tstd if tstd > 1e-12 else 1.0))
 
 
 def _batch_loss(model: ResNet, X: np.ndarray, y, training: bool,

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .binning import BinSpec, DensityGrid
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, restore_state, save_model, snap_f32
 from .nn import Dense
 from .resnet import TrainingSchedule, fit
 
@@ -113,9 +113,7 @@ class StackModel:
         feats = np.asarray(feats)
         for i in range(0, feats.shape[0], batch_size):
             z = self.forward(feats[i:i + batch_size]).data.astype(np.float64)
-            z -= z.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            outs.append(e / e.sum(axis=1, keepdims=True))
+            outs.append(ad.softmax_array(z, 1))
         return np.concatenate(outs, axis=0)
 
     def state_arrays(self) -> list:
@@ -125,32 +123,16 @@ class StackModel:
         return out
 
     def load_state_arrays(self, arrays: list):
-        table = dict(arrays)
-        for name, t in self.parameters():
-            t.data = table.pop(name).astype(self.dtype).reshape(t.data.shape)
-            t.grad = None
-        self.feature_mean = table.pop("stats.feature_mean").astype(np.float64)
-        self.feature_std = table.pop("stats.feature_std").astype(np.float64)
+        table = restore_state(self.parameters(), self.state_arrays(), arrays)
+        self.feature_mean = table["stats.feature_mean"]
+        self.feature_std = table["stats.feature_std"]
 
     def save(self, path):
-        cfg = {"kind": "stack", "seed": self.seed, "n_features": self.n_features,
-               "config": {"n_bins": self.cfg.n_bins,
-                          "hidden_layers": self.cfg.hidden_layers,
-                          "hidden_width": self.cfg.hidden_width}}
-        if self.binspec is not None:
-            cfg["binspec"] = self.binspec.to_json_dict()
-        save_checkpoint(path, cfg, self.state_arrays())
+        save_model(path, self, "stack", extra=("n_features",))
 
     @classmethod
     def load(cls, path) -> "StackModel":
-        cfg, arrays = load_checkpoint(path)
-        if cfg.get("kind") != "stack":
-            raise ValueError(f"checkpoint at {path} is not a stack model")
-        model = cls(StackConfig(**cfg["config"]), cfg["n_features"], cfg["seed"])
-        if "binspec" in cfg:
-            model.binspec = BinSpec.from_json_dict(cfg["binspec"])
-        model.load_state_arrays(arrays)
-        return model
+        return load_model(path, cls, "stack", StackConfig, extra=("n_features",))
 
 
 def train_stack(outputs: list, true_bins: np.ndarray, binspec: BinSpec,
@@ -168,10 +150,8 @@ def train_stack(outputs: list, true_bins: np.ndarray, binspec: BinSpec,
         raise ValueError("stack output width must match the bin spec")
     if sched is None:
         sched = TrainingSchedule(initial_lr=1e-3, max_epochs=40, batch_size=batch_rows)
-    _, stats = assemble_stack_inputs(outputs)
-    # stats snap to f32 so checkpoints (f32 arrays) round-trip losslessly
-    stats = (stats[0].astype(np.float32).astype(np.float64),
-             stats[1].astype(np.float32).astype(np.float64))
+    _, (mean, std) = assemble_stack_inputs(outputs)
+    stats = (snap_f32(mean), snap_f32(std))
     feats, _ = assemble_stack_inputs(outputs, stats=stats)
     y = np.asarray(true_bins).reshape(-1)
     if y.size != feats.shape[0]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import DensityGrid, density_stddev, expectation
+from .binning import DensityGrid, _checked_probs, density_stddev, expectation
 from .grid import GridSpec, latitude_weights
 
 Z_95 = 1.960
@@ -76,10 +76,7 @@ def crps(d: DensityGrid, obs) -> np.ndarray:
     an exact finite sum; observations outside the bin support contribute
     their full tail segments.
     """
-    p = d.probs.astype(np.float64, copy=False)
-    sums = p.sum(axis=-1)
-    if np.abs(sums - 1.0).max() > 1e-4:
-        raise ValueError("density not normalized")
+    p = _checked_probs(d)
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != p.shape[:-1]:
         raise ValueError(f"observation shape {obs.shape} does not match "

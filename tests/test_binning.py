@@ -4,7 +4,7 @@ import pytest
 from probcast.binning import (BinSpec, DensityGrid, density_stddev, discretize,
                               expectation, fit_bins, inbuilt_rmse)
 from probcast.grid import Dataset, GridSpec
-from probcast.verification import REFERENCE_BINNING
+from probcast.verification import REFERENCE_BINNING, crps
 
 
 def random_density(rng, shape, n_bins):
@@ -100,6 +100,16 @@ class TestDiscretize:
         bins = discretize(vals, spec).bins
         again = discretize(spec.lower_bound(bins), spec).bins
         np.testing.assert_array_equal(bins, again)
+
+
+@pytest.mark.parametrize("check", [lambda d: d.validate(), expectation,
+                                   lambda d: crps(d, np.zeros(d.probs.shape[:-1]))],
+                         ids=["validate", "expectation", "crps"])
+def test_nan_gridpoint_is_rejected(check):
+    p = np.full((2, 3, 4), 0.25)
+    p[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        check(DensityGrid(p, BinSpec(0.0, 4.0, 4)))
 
 
 class TestExpectation:

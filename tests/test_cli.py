@@ -141,6 +141,23 @@ class TestPipeline:
                 f"{dirs['m1_test']},{dirs['m2_test']}", "--out", out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [lambda b: b.pop("v_min"),
+                                      lambda b: b.update(width=1.0),
+                                      lambda b: b.update(v_max="x")],
+                             ids=["missing", "unknown", "ill-typed"])
+    def test_evaluate_refuses_bad_manifest_bin_spec(self, pipeline, edit,
+                                                    tmp_path, capsys):
+        root, _ = pipeline
+        shutil.copytree(root / "m1_test", tmp_path / "m1_test")
+        path = tmp_path / "m1_test" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["binspec"])
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "eval"
+        assert run("evaluate", "--ensemble", tmp_path / "m1_test", "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd", [
         ["train", "--epochs", 0],
         ["explore", "--levels", "z:850", "--epochs", 0],

@@ -104,6 +104,13 @@ class TestBuildModel:
         np.testing.assert_array_equal(full.data, skip_only.data)
 
 
+@pytest.mark.parametrize("kw", [{"batch_size": 0}, {"batch_size": -1},
+                                {"max_epochs": -1}])
+def test_schedule_rejects_impossible_sizes(kw):
+    with pytest.raises(ValueError):
+        TrainingSchedule(**kw)
+
+
 class TestPlateauSchedule:
     def test_scripted_stagnation_sequence(self):
         # losses [5,4,4,4,...]: LR drops after epoch 3 (2 stagnant epochs),
