@@ -162,16 +162,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if p > W:
         raise ValueError("kernel too wide for the longitude dimension")
 
+    # im2col one sample at a time: each sample's (C*k*k, H*W) columns are
+    # copied into one reused buffer, so no (B, C*k*k, H*W) tensor is built or
+    # kept in the graph. Per sample, the matmul and the dw einsum make the same
+    # BLAS call and the same float adds, in the same order, as their batched forms.
     xpad = _pad_periodic(x.data, p)
     win = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(2, 3))
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(B, C * k * k, H * W)
+    win = win.transpose(0, 1, 4, 5, 2, 3)  # (B, C, k, k, H, W), a strided view
     w2 = w.data.reshape(C_out, C * k * k)
-    out = np.matmul(w2, cols) + b.data[:, None]
-    out = out.reshape(B, C_out, H, W)
+
+    def sample_columns():
+        buf = np.empty((C * k * k, H * W), dtype=xpad.dtype)
+        buf6 = buf.reshape(C, k, k, H, W)
+        for i in range(B):
+            np.copyto(buf6, win[i])
+            yield i, buf
+
+    out = np.empty((B, C_out, H * W), dtype=np.result_type(w2, xpad))
+    for i, cols in sample_columns():
+        np.matmul(w2, cols, out=out[i])
+    out = (out + b.data[:, None]).reshape(B, C_out, H, W)
 
     def vjp(g):
         gflat = g.reshape(B, C_out, H * W)
-        dw = np.einsum("bij,bkj->ik", gflat, cols).reshape(w.data.shape)
+        dw = np.zeros((C_out, C * k * k), dtype=np.result_type(gflat, xpad))
+        for i, cols in sample_columns():
+            dw += np.einsum("ij,kj->ik", gflat[i], cols)
+        dw = dw.reshape(w.data.shape)
         db = gflat.sum(axis=(0, 2))
         dx = None
         if x.requires_grad:

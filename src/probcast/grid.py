@@ -148,9 +148,6 @@ class Dataset:
         """All timesteps of one variable, shape (n_time, n_lat, n_lon)."""
         return self.data[:, self.var_index(variable, level)]
 
-    def field_at(self, variable: str, level, t_index: int) -> Field:
-        return Field(variable, level, self.data[t_index, self.var_index(variable, level)])
-
 
 @dataclass(frozen=True)
 class SplitPlan:

@@ -394,8 +394,8 @@ def fit_statistics(model: ResNet, ds: Dataset, train_split: tuple):
     idx = [ds.var_index(name, level) for name, level in cfg.inputs]
     block = ds.data[a:b][:, idx].astype(np.float64)
     model.input_mean = snap_f32(block.mean(axis=(0, 2, 3)))
-    std = np.where(block.std(axis=(0, 2, 3)) < 1e-12, 1.0, block.std(axis=(0, 2, 3)))
-    model.input_std = snap_f32(std)
+    std = block.std(axis=(0, 2, 3))
+    model.input_std = snap_f32(np.where(std < 1e-12, 1.0, std))
     tvals = ds.values(*cfg.target)[a:b].astype(np.float64)
     if cfg.mode == CATEGORICAL:
         model.binspec = fit_bins(ds, cfg.target[0], cfg.target[1], train_split,

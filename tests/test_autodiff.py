@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,112 @@ class TestConv2d:
                                 [x, w, b])
         assert worst < GRAD_TOL
 
+
+def conv2d_materialized(x, w, b, g):
+    """Reference conv2d: the whole (B, C*k*k, H*W) im2col tensor, built at once.
+
+    Returns the output and (dx, dw, db) for the output gradient g.
+    """
+    B, C, H, W = x.shape
+    C_out, _, k, _ = w.shape
+    p = k // 2
+    xpad = ad._pad_periodic(x, p)
+    win = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(2, 3))
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(B, C * k * k, H * W)
+    w2 = w.reshape(C_out, C * k * k)
+    out = (np.matmul(w2, cols) + b[:, None]).reshape(B, C_out, H, W)
+    if g is None:
+        return out, None
+    gflat = g.reshape(B, C_out, H * W)
+    dw = np.einsum("bij,bkj->ik", gflat, cols).reshape(w.shape)
+    db = gflat.sum(axis=(0, 2))
+    d6 = np.matmul(w2.T, gflat).reshape(B, C, k, k, H, W)
+    dxpad = np.zeros_like(xpad)
+    for di in range(k):
+        for dj in range(k):
+            dxpad[:, :, di:di + H, dj:dj + W] += d6[:, :, di, dj]
+    main = dxpad[:, :, p:p + H, :]
+    dx = main[..., p:p + W].copy()
+    if p:
+        dx[..., :p] += main[..., p + W:]
+        dx[..., W - p:] += main[..., :p]
+    return out, (dx, dw, db)
+
+
+def assert_bit_identical(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestConv2dBitIdentity:
+    """conv2d streams its im2col per sample; every output keeps the batched bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("B", [1, 7, 32])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("C_in", [2, 10])
+    @pytest.mark.parametrize("C_out", [1, 10])
+    def test_matches_materialized_im2col(self, dtype, B, k, C_in, C_out):
+        rng = np.random.default_rng(1000 * B + 100 * k + 10 * C_in + C_out)
+        x = Tensor(rng.normal(size=(B, C_in, 6, 12)).astype(dtype), requires_grad=True)
+        w = Tensor((rng.normal(size=(C_out, C_in, k, k)) * 0.3).astype(dtype),
+                   requires_grad=True)
+        b = Tensor(rng.normal(size=C_out).astype(dtype), requires_grad=True)
+        t = rng.normal(size=(B, C_out, 6, 12)).astype(dtype)
+
+        y = ad.conv2d(x, w, b)
+        ad.mse_loss(y, t).backward()
+
+        ref_out, _ = conv2d_materialized(x.data, w.data, b.data, None)
+        g = (2.0 / ref_out.size) * (ref_out - t)  # mse_loss's vjp
+        _, (dx, dw, db) = conv2d_materialized(x.data, w.data, b.data, g)
+        assert_bit_identical(y.data, ref_out)
+        assert_bit_identical(x.grad, dx)
+        assert_bit_identical(w.grad, dw)
+        assert_bit_identical(b.grad, db)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_without_grad(self, dtype):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(7, 10, 6, 12)).astype(dtype))
+        w = Tensor((rng.normal(size=(10, 10, 5, 5)) * 0.3).astype(dtype),
+                   requires_grad=True)
+        b = Tensor(rng.normal(size=10).astype(dtype), requires_grad=True)
+
+        y = ad.conv2d(x, w, b)
+        ad.tensor_sum(y).backward()
+
+        ref_out, (_, dw, db) = conv2d_materialized(x.data, w.data, b.data,
+                                                   np.ones_like(y.data))
+        assert x.grad is None
+        assert_bit_identical(y.data, ref_out)
+        assert_bit_identical(w.grad, dw)
+        assert_bit_identical(b.grad, db)
+
+
+def test_conv2d_keeps_no_column_tensor():
+    """Three chained convs, forward and backward, peak below two batch im2col tensors."""
+    B, C, H, W, k = 16, 10, 16, 32, 5
+    column_bytes = B * C * k * k * H * W * 4  # one f32 (B, C*k*k, H*W) tensor: 8.2 MB
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(B, C, H, W)).astype(np.float32), requires_grad=True)
+    layers = [(Tensor((rng.normal(size=(C, C, k, k)) * 0.05).astype(np.float32),
+                      requires_grad=True),
+               Tensor(np.zeros(C, dtype=np.float32), requires_grad=True))
+              for _ in range(3)]
+
+    tracemalloc.start()
+    try:
+        h = x
+        for w, b in layers:
+            h = ad.conv2d(h, w, b)
+        ad.tensor_sum(h).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None
+    assert peak < 2 * column_bytes, f"traced peak {peak / 1e6:.1f} MB"
 
 class TestNormLayers:
     def test_batch_norm_gradients(self):
