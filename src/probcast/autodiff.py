@@ -147,6 +147,15 @@ def _pad_periodic(x: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate([zeros, xw, zeros], axis=2)
 
 
+def _fold_periodic(xpad: np.ndarray, p: int) -> np.ndarray:
+    """Adjoint of _pad_periodic: add the wrapped columns back, drop the latitude pad."""
+    H, W = xpad.shape[-2] - 2 * p, xpad.shape[-1] - 2 * p
+    x = xpad[..., p:p + H, p:p + W].copy()
+    x[..., :p] += xpad[..., p:p + H, p + W:]
+    x[..., W - p:] += xpad[..., p:p + H, :p]
+    return x
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-size 2-D convolution, periodic in longitude and zero-padded in latitude.
 
@@ -164,8 +173,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     # im2col one sample at a time: each sample's (C*k*k, H*W) columns are
     # copied into one reused buffer, so no (B, C*k*k, H*W) tensor is built or
-    # kept in the graph. Per sample, the matmul and the dw einsum make the same
-    # BLAS call and the same float adds, in the same order, as their batched forms.
+    # kept in the graph; the backward forms dw and dx from the same samples.
+    # Per sample, every matmul, einsum and col2im makes the same BLAS call and
+    # the same float adds, in the same order, as their batched forms.
     xpad = _pad_periodic(x.data, p)
     win = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(2, 3))
     win = win.transpose(0, 1, 4, 5, 2, 3)  # (B, C, k, k, H, W), a strided view
@@ -186,26 +196,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         gflat = g.reshape(B, C_out, H * W)
         dw = np.zeros((C_out, C * k * k), dtype=np.result_type(gflat, xpad))
+        dx = np.empty(x.data.shape, dtype=xpad.dtype) if x.requires_grad else None
+        d6 = np.empty((C, k, k, H, W), dtype=np.result_type(w2, gflat))
+        dxpad = np.empty(xpad.shape[1:], dtype=xpad.dtype)
+        col2im = [(dxpad[:, di:di + H, dj:dj + W], d6[:, di, dj])  # views, sliced once per call
+                  for di in range(k) for dj in range(k)]
         for i, cols in sample_columns():
             dw += np.einsum("ij,kj->ik", gflat[i], cols)
-        dw = dw.reshape(w.data.shape)
-        db = gflat.sum(axis=(0, 2))
-        dx = None
-        if x.requires_grad:
-            dcols = np.matmul(w2.T, gflat)  # (B, C*k*k, H*W)
-            d6 = dcols.reshape(B, C, k, k, H, W)
-            dxpad = np.zeros_like(xpad)
-            for di in range(k):
-                for dj in range(k):
-                    dxpad[:, :, di:di + H, dj:dj + W] += d6[:, :, di, dj]
-            main = dxpad[:, :, p:p + H, :] if p else dxpad
-            if p:
-                dx = main[..., p:p + W].copy()
-                dx[..., :p] += main[..., p + W:]
-                dx[..., W - p:] += main[..., :p]
-            else:
-                dx = main.copy()
-        return dx, dw, db
+            if dx is not None:
+                np.matmul(w2.T, gflat[i], out=d6.reshape(C * k * k, H * W))
+                dxpad.fill(0)
+                for window, dcol in col2im:
+                    window += dcol
+                dx[i] = _fold_periodic(dxpad, p)
+        return dx, dw.reshape(w.data.shape), gflat.sum(axis=(0, 2))
 
     return Tensor(out, _parents=(x, w, b), _vjp=vjp)
 

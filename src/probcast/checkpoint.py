@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .binning import BinSpec
+from .gfb import ByteReader
 
 MAGIC = b"PWNN"
 VERSION = 1
@@ -45,48 +46,38 @@ def save_checkpoint(path, config: dict, arrays: list) -> None:
 
 def load_checkpoint(path):
     """Returns (config dict, list of (name, f32 array)) in stored order."""
-    blob = Path(path).read_bytes()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise CheckpointError(f"truncated checkpoint at offset {pos}")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4) != MAGIC:
+    r = ByteReader(Path(path).read_bytes(), CheckpointError)
+    if r.take(4) != MAGIC:
         raise CheckpointError(f"bad checkpoint magic in {path}")
-    (version,) = struct.unpack("<I", take(4))
+    (version,) = r.unpack("<I")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<I", take(4))
-    raw = take(cfg_len)
+    (cfg_len,) = r.unpack("<I")
+    raw = r.take(cfg_len)
     try:
         config = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise CheckpointError(f"undecodable checkpoint config: {exc}") from exc
     if not isinstance(config, dict):
         raise CheckpointError("checkpoint config is not a JSON object")
-    (n_arrays,) = struct.unpack("<I", take(4))
+    (n_arrays,) = r.unpack("<I")
     arrays = []
     for _ in range(n_arrays):
-        (name_len,) = struct.unpack("<H", take(2))
+        (name_len,) = r.unpack("<H")
         try:
-            name = take(name_len).decode("utf-8")
+            name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"undecodable array name: {exc}") from exc
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        raw = take(4 * math.prod(shape))
+        (ndim,) = r.unpack("<B")
+        shape = r.unpack(f"<{ndim}I")
+        raw = r.take(4 * math.prod(shape))
         try:
             data = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         except ValueError as exc:  # a zero dim beside dims too large for numpy
             raise CheckpointError(f"array {name!r} has impossible shape {shape}") from exc
         arrays.append((name, data))
-    if pos != len(blob):
-        raise CheckpointError(f"{len(blob) - pos} trailing bytes in checkpoint")
+    if r.pos != len(r.blob):
+        raise CheckpointError(f"{len(r.blob) - r.pos} trailing bytes in checkpoint")
     return config, arrays
 
 

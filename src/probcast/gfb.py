@@ -80,14 +80,17 @@ def save_dataset(ds: Dataset, path) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
+class ByteReader:
+    """Bounds-checked cursor over a binary file; a read past its end raises `error`."""
+
+    def __init__(self, blob: bytes, error: type[ValueError]):
         self.blob = blob
+        self.error = error
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise GFBDecodeError(
+            raise self.error(
                 f"truncated file: need {n} bytes at offset {self.pos}, "
                 f"have {len(self.blob) - self.pos}")
         out = self.blob[self.pos:self.pos + n]
@@ -99,8 +102,7 @@ class _Reader:
 
 
 def load_dataset(path) -> Dataset:
-    blob = Path(path).read_bytes()
-    r = _Reader(blob)
+    r = ByteReader(Path(path).read_bytes(), GFBDecodeError)
     if r.take(4) != MAGIC:
         raise GFBDecodeError(f"bad magic bytes in {path}")
     n_lat, n_lon, n_time, n_var = r.unpack("<4I")
@@ -117,8 +119,8 @@ def load_dataset(path) -> Dataset:
         (level_code,) = r.unpack("<i")
         variables.append((name, _decode_level(level_code)))
     payload = np.frombuffer(r.take(4 * n_time * n_var * n_lat * n_lon), dtype="<f4")
-    if r.pos != len(blob):
-        raise GFBDecodeError(f"{len(blob) - r.pos} trailing bytes after payload")
+    if r.pos != len(r.blob):
+        raise GFBDecodeError(f"{len(r.blob) - r.pos} trailing bytes after payload")
     data = payload.reshape(n_time, n_var, n_lat, n_lon)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:

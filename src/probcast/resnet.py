@@ -86,8 +86,8 @@ class TrainingSchedule:
     def __post_init__(self):
         if self.lr_patience_epochs < 1 or self.stop_patience_epochs < 1:
             raise ValueError("patience must be at least 1 epoch")
-        if self.lr_reduce_factor <= 1.0:
-            raise ValueError("lr reduce factor must exceed 1")
+        if not 0.0 < self.initial_lr < np.inf or self.lr_reduce_factor <= 1.0:
+            raise ValueError("need a positive, finite learning rate and a reduce factor above 1")
         if self.batch_size < 1 or self.max_epochs < 0:
             raise ValueError("need batch_size >= 1 and max_epochs >= 0")
 

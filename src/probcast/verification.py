@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import DensityGrid, _checked_probs, density_stddev, expectation
+from .binning import DensityGrid, _checked_probs, density_stddev, discretize, expectation
 from .grid import GridSpec, latitude_weights
 
 Z_95 = 1.960
@@ -286,7 +286,6 @@ def assemble_report(d: DensityGrid, truth, grid: GridSpec, *, variable: str,
     mu = expectation(d)
     rmse = weighted_rmse(mu, truth, grid)
     mse, lo, hi = weighted_mse_ci(mu, truth, grid)
-    from .binning import discretize
     true_bins = discretize(truth, d.spec).bins
     report = ScoreReport(
         variable=variable, level=level, lead_hours=lead_hours,

@@ -341,7 +341,8 @@ class TestConv2dBitIdentity:
 
 
 def test_conv2d_keeps_no_column_tensor():
-    """Three chained convs, forward and backward, peak below two batch im2col tensors."""
+    """Three chained convs: forward and backward peak below two batch im2col tensors,
+    and the backward alone below half of one."""
     B, C, H, W, k = 16, 10, 16, 32, 5
     column_bytes = B * C * k * k * H * W * 4  # one f32 (B, C*k*k, H*W) tensor: 8.2 MB
     rng = np.random.default_rng(3)
@@ -351,17 +352,29 @@ def test_conv2d_keeps_no_column_tensor():
                Tensor(np.zeros(C, dtype=np.float32), requires_grad=True))
               for _ in range(3)]
 
-    tracemalloc.start()
-    try:
+    def loss():
         h = x
         for w, b in layers:
             h = ad.conv2d(h, w, b)
-        ad.tensor_sum(h).backward()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return ad.tensor_sum(h)
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = traced_peak(lambda: loss().backward())
     assert x.grad is not None
     assert peak < 2 * column_bytes, f"traced peak {peak / 1e6:.1f} MB"
+
+    x.zero_grad()
+    backward_peak = traced_peak(loss().backward)
+    assert x.grad is not None
+    assert backward_peak < column_bytes / 2, f"traced backward peak {backward_peak / 1e6:.1f} MB"
+
 
 class TestNormLayers:
     def test_batch_norm_gradients(self):

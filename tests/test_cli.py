@@ -165,6 +165,11 @@ class TestPipeline:
         ["explore", "--levels", "z:850", "--batch-size", 0],
         ["ensemble", "--model", "m1/model.pwnn", "--members", 0],
         ["explore", "--levels", "z:850", "--members", 0],
+        ["train", "--lr=-2e-3"],
+        ["train", "--lr", 0],
+        ["train", "--lr", "nan"],
+        ["explore", "--levels", "z:850", "--lr=-2e-3"],
+        ["explore", "--levels", "z:850", "--lr", "inf"],
     ])
     def test_epochs_below_one_is_usage_error(self, pipeline, cmd, tmp_path):
         root, data = pipeline
