@@ -86,8 +86,11 @@ class TrainingSchedule:
     def __post_init__(self):
         if self.lr_patience_epochs < 1 or self.stop_patience_epochs < 1:
             raise ValueError("patience must be at least 1 epoch")
-        if not 0.0 < self.initial_lr < np.inf or self.lr_reduce_factor <= 1.0:
-            raise ValueError("need a positive, finite learning rate and a reduce factor above 1")
+        if not (0.0 < self.initial_lr < np.inf and 1.0 < self.lr_reduce_factor < np.inf):
+            raise ValueError("need a positive, finite learning rate and a finite "
+                             "reduce factor above 1")
+        if not 0.0 <= self.min_improvement < np.inf:
+            raise ValueError("min_improvement must be finite and non-negative")
         if self.batch_size < 1 or self.max_epochs < 0:
             raise ValueError("need batch_size >= 1 and max_epochs >= 0")
 

@@ -109,12 +109,12 @@ class StackModel:
 
     def predict_probs(self, feats: np.ndarray, batch_size: int = 65536) -> np.ndarray:
         """Row densities (M, n_bins) in f64."""
-        outs = []
         feats = np.asarray(feats)
+        out = np.empty((feats.shape[0], self.cfg.n_bins))
         for i in range(0, feats.shape[0], batch_size):
-            z = self.forward(feats[i:i + batch_size]).data.astype(np.float64)
-            outs.append(ad.softmax_array(z, 1))
-        return np.concatenate(outs, axis=0)
+            z = self.forward(feats[i:i + batch_size]).data
+            ad.softmax_array(z.astype(np.float64), 1, out=out[i:i + batch_size])
+        return out
 
     def state_arrays(self) -> list:
         out = [(n, t.data) for n, t in self.parameters()]
@@ -162,6 +162,7 @@ def train_stack(outputs: list, true_bins: np.ndarray, binspec: BinSpec,
     model = StackModel(cfg, n_features=feats.shape[1], seed=seed)
     model.feature_mean, model.feature_std = stats
     model.binspec = binspec
+    feats = feats.astype(model.dtype)  # once, not per batch in forward
 
     ss = np.random.SeedSequence([0x57AC2, int(seed)])
     split_rng = np.random.default_rng(ss.spawn(1)[0])

@@ -17,6 +17,23 @@ def away_from_kink(rng, shape, margin=0.05):
     return x + np.sign(x) * margin
 
 
+def assert_same_floats(actual, expected):
+    """Same dtype, shape, values (NaN matching NaN) and sign bits, zeros included."""
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def special_values(dtype, rng):
+    """±0, ±inf, ±NaN, ± the smallest subnormal and extremes, then random normals."""
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+                3 * tiny, -3 * tiny, info.max, -info.max, 1.0, -1.0]
+    return np.concatenate([np.array(specials, dtype=dtype),
+                           rng.normal(size=40).astype(dtype)])
+
+
 class TestBackwardBasics:
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -67,6 +84,21 @@ class TestLeakyRelu:
         t = rng.normal(size=(4, 5))
         worst = check_gradients(lambda: ad.mse_loss(ad.leaky_relu(x), t), [x])
         assert worst < GRAD_TOL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_bits_match_select_formula(self, dtype, alpha):
+        rng = np.random.default_rng(21)
+        xs = special_values(dtype, rng)
+        g = rng.permutation(special_values(dtype, rng))
+        x_before, g_before = xs.copy(), g.copy()
+        y = ad.leaky_relu(Tensor(xs, requires_grad=True), alpha)
+        (dx,) = y._vjp(g)
+        pos = xs >= 0
+        assert_same_floats(y.data, np.where(pos, xs, alpha * xs))
+        assert_same_floats(dx, np.where(pos, g, alpha * g))
+        assert_same_floats(xs, x_before)
+        assert_same_floats(g, g_before)
 
 
 class TestDropout:
@@ -133,6 +165,37 @@ class TestSoftmax:
         t = rng.normal(size=(2, 6, 2, 3))
         worst = check_gradients(lambda: ad.mse_loss(ad.softmax(z), t), [z], h=1e-5)
         assert worst < 1e-5
+
+    @staticmethod
+    def reference(z, axis, out):
+        e = np.subtract(z, z.max(axis=axis, keepdims=True), out=out)
+        np.exp(e, out=e)
+        e /= e.sum(axis=axis, keepdims=True)
+        return e
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_out", [False, True])
+    @pytest.mark.parametrize("lead, axis", [((9,), 1), ((2, 3, 4), 1), ((3, 4), -1)])
+    def test_bits_match_reduce_max_formula(self, dtype, with_out, lead, axis):
+        rng = np.random.default_rng(22)
+        n = 10
+        lanes = rng.normal(scale=3.0, size=lead + (n,)).astype(dtype)
+        rows = lanes.reshape(-1, n)  # a view: one row per softmax lane
+        rows[0] = [-0.0, 0.0, -1.0] + [-2.0] * (n - 3)  # maximum tied between -0 and +0
+        rows[1] = [-3.0] * (n - 2) + [0.0, -0.0]
+        rows[2, 4] = np.nan
+        rows[3] = -np.inf
+        rows[4, 1] = np.inf
+        z = np.ascontiguousarray(np.moveaxis(lanes, -1, axis))
+        z_before = z.copy()
+        outs = [np.full(z.shape, 7.0) if with_out else None for _ in range(2)]
+        got = ad.softmax_array(z, axis, out=outs[0])
+        want = self.reference(z, axis, outs[1])
+        if with_out:
+            assert got is outs[0]
+        assert_same_floats(got, want)
+        assert_same_floats(z, z_before)
+        assert np.isnan(np.moveaxis(got, axis, -1).reshape(-1, n)[2]).all()
 
 
 class TestSparseCE:
@@ -427,6 +490,21 @@ class TestDense:
                 ad.softmax(ad.dense(x, w, b), axis=1), bins)
 
         assert check_gradients(loss, [x, w, b]) < GRAD_TOL
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                        (np.float32, np.float64)])
+    def test_bits_match_matmul_plus_bias(self, dtypes):
+        xw_dtype, b_dtype = dtypes
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(33, 6)).astype(xw_dtype)
+        w = rng.normal(size=(6, 7)).astype(xw_dtype)
+        b = rng.normal(size=7).astype(b_dtype)
+        b[0] = -0.0
+        before = [a.copy() for a in (x, w, b)]
+        out = ad.dense(Tensor(x), Tensor(w), Tensor(b)).data
+        assert_same_floats(out, x @ w + b)
+        for a, a0 in zip((x, w, b), before):
+            assert_same_floats(a, a0)
 
 
 class TestAdam:

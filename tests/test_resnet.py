@@ -107,7 +107,12 @@ class TestBuildModel:
 @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"batch_size": -1},
                                 {"max_epochs": -1}, {"initial_lr": 0.0},
                                 {"initial_lr": -2e-3}, {"initial_lr": float("nan")},
-                                {"initial_lr": float("inf")}])
+                                {"initial_lr": float("inf")},
+                                {"lr_reduce_factor": float("nan")},
+                                {"lr_reduce_factor": float("inf")},
+                                {"min_improvement": float("nan")},
+                                {"min_improvement": -1e-6},
+                                {"min_improvement": float("inf")}])
 def test_schedule_rejects_impossible_sizes(kw):
     with pytest.raises(ValueError):
         TrainingSchedule(**kw)
