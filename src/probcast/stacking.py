@@ -112,8 +112,9 @@ class StackModel:
         feats = np.asarray(feats)
         out = np.empty((feats.shape[0], self.cfg.n_bins))
         for i in range(0, feats.shape[0], batch_size):
-            z = self.forward(feats[i:i + batch_size]).data
-            ad.softmax_array(z.astype(np.float64), 1, out=out[i:i + batch_size])
+            dst = out[i:i + batch_size]
+            dst[...] = self.forward(feats[i:i + batch_size]).data
+            ad.softmax_array(dst, 1, out=dst)
         return out
 
     def state_arrays(self) -> list:

@@ -174,11 +174,11 @@ class TestSoftmax:
         return e
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("with_out", [False, True])
+    @pytest.mark.parametrize("out_kind", ["none", "separate", "in_place"])
     @pytest.mark.parametrize("lead, axis", [((9,), 1), ((2, 3, 4), 1), ((3, 4), -1)])
-    def test_bits_match_reduce_max_formula(self, dtype, with_out, lead, axis):
+    @pytest.mark.parametrize("n", [10, 100])  # either side of the fold's row limit
+    def test_bits_match_reduce_max_formula(self, dtype, out_kind, lead, axis, n):
         rng = np.random.default_rng(22)
-        n = 10
         lanes = rng.normal(scale=3.0, size=lead + (n,)).astype(dtype)
         rows = lanes.reshape(-1, n)  # a view: one row per softmax lane
         rows[0] = [-0.0, 0.0, -1.0] + [-2.0] * (n - 3)  # maximum tied between -0 and +0
@@ -188,13 +188,16 @@ class TestSoftmax:
         rows[4, 1] = np.inf
         z = np.ascontiguousarray(np.moveaxis(lanes, -1, axis))
         z_before = z.copy()
-        outs = [np.full(z.shape, 7.0) if with_out else None for _ in range(2)]
-        got = ad.softmax_array(z, axis, out=outs[0])
-        want = self.reference(z, axis, outs[1])
-        if with_out:
+        zs = [z, z.copy()]  # one for softmax_array, one for the reference
+        outs = [{"none": None, "separate": np.full(z.shape, 7.0), "in_place": zi}[out_kind]
+                for zi in zs]
+        got = ad.softmax_array(zs[0], axis, out=outs[0])
+        want = self.reference(zs[1], axis, outs[1])
+        if out_kind != "none":
             assert got is outs[0]
         assert_same_floats(got, want)
-        assert_same_floats(z, z_before)
+        if out_kind != "in_place":
+            assert_same_floats(z, z_before)
         assert np.isnan(np.moveaxis(got, axis, -1).reshape(-1, n)[2]).all()
 
 
