@@ -91,8 +91,7 @@ def cmd_train(args) -> int:
     cfg = ResNetConfig(inputs=_parse_varlist(args.inputs),
                        target=_parse_varlist(args.target)[0],
                        lead_hours=args.lead_hours, n_blocks=args.blocks,
-                       n_bins=args.bins, mode=args.mode,
-                       dropout_rate=args.dropout if args.dropout > 0 else None,
+                       n_bins=args.bins, dropout_rate=args.dropout,
                        kernel=args.kernel)
     sched = TrainingSchedule(initial_lr=args.lr, max_epochs=args.epochs,
                              batch_size=args.batch_size)
@@ -108,7 +107,7 @@ def cmd_train(args) -> int:
             "best_val_loss": min(history.val_loss)}
     (out / "train_manifest.json").write_text(json.dumps(meta, indent=2,
                                                         sort_keys=True) + "\n")
-    print(f"trained {cfg.mode} model: {len(history.epochs)} epochs, "
+    print(f"trained model: {len(history.epochs)} epochs, "
           f"best val loss {min(history.val_loss):.6g} at epoch {history.best_epoch}")
     print(f"wrote {out / 'model.pwnn'}")
     return 0
@@ -360,10 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--lead-hours", type=int, default=72)
     tp.add_argument("--blocks", type=int, default=2)
     tp.add_argument("--bins", type=int, default=10)
-    tp.add_argument("--mode", choices=("categorical", "continuous"),
-                    default="categorical")
     tp.add_argument("--kernel", type=int, default=5)
-    tp.add_argument("--dropout", type=float, default=0.1)
+    tp.add_argument("--dropout", type=float, default=0.1,
+                    help="dropout rate in [0, 1); 0 disables dropout")
     tp.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15],
                     help="train,neural_val,stacked_val,test fractions")
     tp.add_argument("--lr", type=_positive(float), default=1e-3)

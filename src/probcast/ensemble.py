@@ -8,7 +8,7 @@ import numpy as np
 
 from .binning import DensityGrid, expectation
 from .grid import GridSpec, latitude_weights
-from .resnet import CATEGORICAL, ResNet
+from .resnet import ResNet
 
 
 @dataclass
@@ -39,8 +39,6 @@ class EnsembleSet:
 def generate_ensemble(model: ResNet, x_raw: np.ndarray, n_members: int = 32,
                       master_seed: int = 0) -> EnsembleSet:
     """n stochastic passes with independent per-member streams from one seed."""
-    if model.cfg.mode != CATEGORICAL:
-        raise ValueError("dropout ensembles require a categorical model")
     if not model.cfg.dropout_rate:
         raise ValueError("no dropout layer in the network architecture: "
                          "build the model with a positive dropout rate")

@@ -12,8 +12,7 @@ import numpy as np
 from .binning import expectation
 from .ensemble import generate_ensemble, linear_pool
 from .grid import Dataset, SplitPlan
-from .resnet import (CATEGORICAL, ResNet, ResNetConfig, TrainingSchedule,
-                     build_samples, train)
+from .resnet import ResNet, ResNetConfig, TrainingSchedule, build_samples, train
 from .verification import weighted_mse_ci
 
 logger = logging.getLogger(__name__)
@@ -94,7 +93,7 @@ def _pooled_mse(spec: ExperimentSpec, ds: Dataset, splits: SplitPlan,
     """Train one learner, pool a dropout ensemble, score its expectation."""
     cfg = ResNetConfig(inputs=spec.all_inputs(), target=spec.target,
                        lead_hours=spec.lead_hours, n_blocks=spec.n_blocks,
-                       n_bins=spec.n_bins, kernel=spec.kernel, mode=CATEGORICAL)
+                       n_bins=spec.n_bins, kernel=spec.kernel)
     model = ResNet(cfg, seed=spec.seed)
     train(model, ds, splits.train, splits.neural_validation, sched, seed=spec.seed)
     X, truth, _ = build_samples(ds, cfg, splits.range(eval_split))

@@ -1,10 +1,9 @@
 """Convolutional residual network emitting per-gridpoint bin densities.
 
-Architecture: input standardization, a projection convolution onto the
-working channel count, n residual blocks (conv -> norm -> leaky rectifier
--> dropout, with an additive skip around the block), and an output
-convolution to one channel per bin followed by SoftMax (categorical mode)
-or to a single linear channel (continuous mode).
+Architecture: input standardization, a projection convolution onto
+n_bins working channels, n residual blocks (conv -> norm -> leaky
+rectifier -> dropout, with an additive skip around the block), and an
+output convolution to one channel per bin followed by SoftMax.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from .nn import LEAKY_ALPHA, Adam, BatchNorm2d, Conv2d, LayerNorm2d
 
 logger = logging.getLogger(__name__)
 
-CATEGORICAL = "categorical"
-CONTINUOUS = "continuous"
-
 
 @dataclass
 class ResNetConfig:
@@ -34,36 +30,24 @@ class ResNetConfig:
     target: tuple                # (name, level) predicted at issue time + lead
     lead_hours: int
     n_blocks: int = 5
-    n_bins: int = 100
-    mode: str = CATEGORICAL
-    channels: int | None = None  # derived: n_bins (categorical) or 64 (continuous)
+    n_bins: int = 100            # also the working channel count
     kernel: int = 5
-    dropout_rate: float | None = 0.1
+    dropout_rate: float = 0.1    # 0 disables dropout
     norm: str = "batch"          # or "layer"
 
     def __post_init__(self):
         if self.n_blocks < 1:
             raise ValueError("need at least one residual block")
-        if self.mode not in (CATEGORICAL, CONTINUOUS):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.kernel % 2 == 0:
             raise ValueError("kernel size must be odd")
         if self.norm not in ("batch", "layer"):
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.dropout_rate is not None and not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        if self.channels is None:
-            self.channels = self.n_bins if self.mode == CATEGORICAL else 64
-        if self.mode == CATEGORICAL and self.channels != self.n_bins:
-            raise ValueError("categorical mode ties the channel count to n_bins")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
         self.inputs = [(str(n), l) for n, l in self.inputs]
         self.target = (str(self.target[0]), self.target[1])
         if self.lead_hours < 0:
             raise ValueError("lead_hours must be non-negative")
-
-    @property
-    def out_channels(self) -> int:
-        return self.n_bins if self.mode == CATEGORICAL else 1
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -211,19 +195,17 @@ class ResNet:
         self.seed = int(seed)
         self.dtype = dtype
         rng = np.random.default_rng(np.random.SeedSequence([0x5EED, self.seed]))
-        ch, k = cfg.channels, cfg.kernel
+        ch, k = cfg.n_bins, cfg.kernel
         norm_cls = BatchNorm2d if cfg.norm == "batch" else LayerNorm2d
         self.conv_in = Conv2d(len(cfg.inputs), ch, k, rng, dtype)
         self.blocks = []
         for _ in range(cfg.n_blocks):
             self.blocks.append({"conv": Conv2d(ch, ch, k, rng, dtype),
                                 "norm": norm_cls(ch, dtype=dtype)})
-        self.conv_out = Conv2d(ch, cfg.out_channels, k, rng, dtype)
+        self.conv_out = Conv2d(ch, cfg.n_bins, k, rng, dtype)
         self.binspec: BinSpec | None = None
         self.input_mean: np.ndarray | None = None
         self.input_std: np.ndarray | None = None
-        self.target_mean: float = 0.0
-        self.target_std: float = 1.0
 
     # --- parameter bookkeeping -------------------------------------------------
 
@@ -246,8 +228,6 @@ class ResNet:
         if self.input_mean is not None:
             out.append(("stats.input_mean", self.input_mean))
             out.append(("stats.input_std", self.input_std))
-        if self.cfg.mode == CONTINUOUS:
-            out.append(("stats.target", np.array([self.target_mean, self.target_std])))
         return out
 
     def load_state_arrays(self, arrays: list):
@@ -262,8 +242,6 @@ class ResNet:
         if "stats.input_mean" in table:
             self.input_mean = table["stats.input_mean"]
             self.input_std = table["stats.input_std"]
-        if "stats.target" in table:
-            self.target_mean, self.target_std = map(float, table["stats.target"])
 
     # --- forward ----------------------------------------------------------------
 
@@ -278,7 +256,7 @@ class ResNet:
                 dropout_enabled: bool = False,
                 rng: np.random.Generator | None = None,
                 update_stats: bool | None = None) -> Tensor:
-        """Raw input channels (B, C, H, W) to output logits/values tensor."""
+        """Raw input channels (B, C, H, W) to output logits (B, n_bins, H, W)."""
         return self._head(*self._trunk(x_raw, training, update_stats),
                           training, dropout_enabled, rng, update_stats)
 
@@ -298,7 +276,7 @@ class ResNet:
               rng: np.random.Generator | None, update_stats: bool | None) -> Tensor:
         """Block 0's dropout and skip, the remaining blocks, then conv_out."""
         rate = self.cfg.dropout_rate
-        use_dropout = dropout_enabled and rate is not None and rate > 0
+        use_dropout = dropout_enabled and rate > 0
         for i, blk in enumerate(self.blocks):
             if i:
                 h = self._block_body(blk, y, training, update_stats)
@@ -322,8 +300,6 @@ class ResNet:
         stream draws its dropout masks in the same batch order and shapes as
         on its own, so every density is bit-identical to a lone pass.
         """
-        if self.cfg.mode != CATEGORICAL:
-            raise ValueError("predict_density requires a categorical model")
         if self.binspec is None:
             raise RuntimeError("model has no bin spec; train or fit first")
         x_raw = np.asarray(x_raw)
@@ -334,20 +310,10 @@ class ResNet:
         for i in range(0, n, batch_size):
             y, h = self._trunk(x_raw[i:i + batch_size], False, None)
             for out, rng in zip(outs, rngs):
-                z = self._head(y, h, False, dropout_enabled, rng, None).data
-                ad.softmax_array(z.astype(np.float64), 1, out=out[i:i + batch_size])
+                dst = out[i:i + batch_size]
+                dst[...] = self._head(y, h, False, dropout_enabled, rng, None).data
+                ad.softmax_array(dst, 1, out=dst)
         return [DensityGrid(np.moveaxis(out, 1, -1), self.binspec) for out in outs]
-
-    def predict_continuous(self, x_raw: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        """Real-valued field predictions in target units, shape (B, H, W)."""
-        if self.cfg.mode != CONTINUOUS:
-            raise ValueError("predict_continuous requires a continuous model")
-        outs = []
-        x_raw = np.asarray(x_raw)
-        for i in range(0, x_raw.shape[0], batch_size):
-            y = self.forward(x_raw[i:i + batch_size], training=False).data[:, 0]
-            outs.append(y.astype(np.float64) * self.target_std + self.target_mean)
-        return np.concatenate(outs, axis=0)
 
     # --- persistence ------------------------------------------------------------
 
@@ -389,7 +355,7 @@ def build_samples(ds: Dataset, cfg: ResNetConfig, split: tuple):
 
 
 def fit_statistics(model: ResNet, ds: Dataset, train_split: tuple):
-    """Bin spec (categorical), input and target standardization from training data."""
+    """Bin spec and input standardization from training data."""
     cfg = model.cfg
     a, b = train_split
     if b <= a:
@@ -399,24 +365,15 @@ def fit_statistics(model: ResNet, ds: Dataset, train_split: tuple):
     model.input_mean = snap_f32(block.mean(axis=(0, 2, 3)))
     std = block.std(axis=(0, 2, 3))
     model.input_std = snap_f32(np.where(std < 1e-12, 1.0, std))
-    tvals = ds.values(*cfg.target)[a:b].astype(np.float64)
-    if cfg.mode == CATEGORICAL:
-        model.binspec = fit_bins(ds, cfg.target[0], cfg.target[1], train_split,
-                                 n_bins=cfg.n_bins)
-    else:
-        model.target_mean = float(snap_f32(tvals.mean()))
-        tstd = float(tvals.std())
-        model.target_std = float(snap_f32(tstd if tstd > 1e-12 else 1.0))
+    model.binspec = fit_bins(ds, cfg.target[0], cfg.target[1], train_split,
+                             n_bins=cfg.n_bins)
 
 
 def _batch_loss(model: ResNet, X: np.ndarray, y, training: bool,
                 rng: np.random.Generator | None) -> Tensor:
     out = model.forward(X, training=training,
                         dropout_enabled=training, rng=rng)
-    if model.cfg.mode == CATEGORICAL:
-        probs = ad.softmax(out, axis=1)
-        return ad.sparse_categorical_cross_entropy(probs, y)
-    return ad.mse_loss(out, y[:, None].astype(model.dtype))
+    return ad.sparse_categorical_cross_entropy(ad.softmax(out, axis=1), y)
 
 
 def evaluate_loss(model: ResNet, X: np.ndarray, y, batch_size: int = 64) -> float:
@@ -443,12 +400,8 @@ def train(model: ResNet, ds: Dataset, train_split: tuple, val_split: tuple,
         fit_statistics(model, ds, train_split)
     X_tr, truth_tr, _ = build_samples(ds, cfg, train_split)
     X_va, truth_va, _ = build_samples(ds, cfg, val_split)
-    if cfg.mode == CATEGORICAL:
-        y_tr = discretize(truth_tr, model.binspec).bins
-        y_va = discretize(truth_va, model.binspec).bins
-    else:
-        y_tr = ((truth_tr - model.target_mean) / model.target_std)
-        y_va = ((truth_va - model.target_mean) / model.target_std)
+    y_tr = discretize(truth_tr, model.binspec).bins
+    y_va = discretize(truth_va, model.binspec).bins
 
     ss = np.random.SeedSequence([0x7EA1, int(seed)])
     shuffle_rng = np.random.default_rng(ss.spawn(1)[0])

@@ -170,6 +170,7 @@ class TestPipeline:
         ["train", "--lr", "nan"],
         ["explore", "--levels", "z:850", "--lr=-2e-3"],
         ["explore", "--levels", "z:850", "--lr", "inf"],
+        ["train", "--mode", "categorical"],
     ])
     def test_epochs_below_one_is_usage_error(self, pipeline, cmd, tmp_path):
         root, data = pipeline
@@ -178,6 +179,15 @@ class TestPipeline:
         with pytest.raises(SystemExit) as exc:
             run(*cmd, "--data", data, "--seed", 1, "--out", out)
         assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dropout", ["--dropout=-0.3", "--dropout=nan"])
+    def test_train_refuses_dropout_outside_unit_interval(self, pipeline, dropout,
+                                                         tmp_path, capsys):
+        _, data = pipeline
+        out = tmp_path / "out"
+        assert run("train", dropout, "--data", data, "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: dropout rate")
         assert not out.exists()
 
     def test_baselines_command(self, pipeline, capsys):

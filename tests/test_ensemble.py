@@ -56,7 +56,7 @@ class TestGenerateEnsemble:
         ds, model, X, _ = trained_toy
         cfg_nd = ResNetConfig(inputs=model.cfg.inputs, target=model.cfg.target,
                               lead_hours=model.cfg.lead_hours, n_blocks=1,
-                              n_bins=10, dropout_rate=None)
+                              n_bins=10, dropout_rate=0.0)
         bare = ResNet(cfg_nd, seed=1)
         with pytest.raises(ValueError, match="no dropout layer"):
             generate_ensemble(bare, X, n_members=2, master_seed=0)

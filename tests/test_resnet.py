@@ -6,12 +6,11 @@ import pytest
 from probcast import autodiff as ad
 from probcast.autodiff import Tensor
 from probcast.binning import discretize
-from probcast.grid import SplitPlan, climatology
-from probcast.resnet import (CONTINUOUS, PlateauSchedule, ResNet, ResNetConfig,
+from probcast.grid import SplitPlan
+from probcast.resnet import (PlateauSchedule, ResNet, ResNetConfig,
                              TrainingSchedule, build_samples,
                              evaluate_loss, fit_statistics, train)
 from probcast.synth import SynthConfig, synth_generate
-from probcast.verification import weighted_rmse
 
 from gradcheck import check_gradients
 
@@ -36,26 +35,13 @@ def identity_stats(model, n_channels):
 
 
 class TestConfig:
-    def test_categorical_channels_follow_bins(self):
-        cfg = toy_config(n_bins=10)
-        assert cfg.channels == 10
-        with pytest.raises(ValueError, match="ties the channel count"):
-            toy_config(n_bins=10, channels=12)
-
-    def test_continuous_default_channels(self):
-        cfg = toy_config(mode=CONTINUOUS, channels=None)
-        assert cfg.channels == 64
-        assert cfg.out_channels == 1
-
     def test_json_round_trip(self):
-        cfg = toy_config(dropout_rate=None, norm="layer")
+        cfg = toy_config(dropout_rate=0.0, norm="layer")
         assert ResNetConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             toy_config(n_blocks=0)
-        with pytest.raises(ValueError):
-            toy_config(mode="fuzzy")
         with pytest.raises(ValueError):
             toy_config(kernel=4)
         with pytest.raises(ValueError):
@@ -66,7 +52,7 @@ class TestBuildModel:
     def test_parameter_count_closed_form(self):
         cfg = toy_config(n_blocks=3, n_bins=7, kernel=5)
         model = ResNet(cfg, seed=0)
-        ch, k, cin = cfg.channels, cfg.kernel, len(cfg.inputs)
+        ch, k, cin = cfg.n_bins, cfg.kernel, len(cfg.inputs)
         expected = (ch * cin * k * k + ch                       # projection
                     + cfg.n_blocks * (ch * ch * k * k + ch + 2 * ch)  # blocks
                     + cfg.n_bins * ch * k * k + cfg.n_bins)     # output head
@@ -255,44 +241,6 @@ class TestPrediction:
         b = model.predict_density(X[:4], dropout_enabled=True,
                                   rng=np.random.default_rng(2)).probs
         assert np.abs(a - b).max() > 0
-
-    def test_mode_errors(self, toy_data):
-        ds, splits = toy_data
-        cat = ResNet(toy_config(), seed=0)
-        cont = ResNet(toy_config(mode=CONTINUOUS, channels=8), seed=0)
-        fit_statistics(cat, ds, splits.train)
-        fit_statistics(cont, ds, splits.train)
-        X, _, _ = build_samples(ds, cat.cfg, splits.test)
-        with pytest.raises(ValueError, match="categorical"):
-            cont.predict_density(X[:2])
-        with pytest.raises(ValueError, match="continuous"):
-            cat.predict_continuous(X[:2])
-
-    def test_zeroed_output_layer_predicts_climatological_mean(self, toy_data):
-        ds, splits = toy_data
-        cfg = toy_config(mode=CONTINUOUS, channels=8)
-        model = ResNet(cfg, seed=0)
-        fit_statistics(model, ds, splits.train)
-        model.conv_out.w.data[:] = 0.0
-        model.conv_out.b.data[:] = 0.0
-        X, _, _ = build_samples(ds, cfg, splits.test)
-        pred = model.predict_continuous(X[:3])
-        assert pred.shape == (3, 8, 16)
-        np.testing.assert_allclose(pred, model.target_mean, rtol=1e-12)
-
-    def test_continuous_toy_model_beats_climatology(self, toy_data):
-        ds, splits = toy_data
-        cfg = toy_config(mode=CONTINUOUS, channels=10, n_blocks=1)
-        model = ResNet(cfg, seed=4)
-        sched = TrainingSchedule(initial_lr=1e-3, max_epochs=8, batch_size=32)
-        train(model, ds, splits.train, splits.neural_validation, sched, seed=4)
-        X, truth, _ = build_samples(ds, cfg, splits.test)
-        pred = model.predict_continuous(X)
-        rmse = weighted_rmse(pred, truth, ds.grid)
-        clim = climatology(ds, "z", 500, splits.train)
-        clim_rmse = weighted_rmse(np.repeat(clim.values[None], truth.shape[0], 0),
-                                  truth, ds.grid)
-        assert rmse < clim_rmse
 
 
 class TestCheckpoint:
