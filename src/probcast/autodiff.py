@@ -135,12 +135,11 @@ def leaky_relu(x: Tensor, alpha: float = 0.3) -> Tensor:
                   _vjp=lambda g: (_slope_times(pos, alpha, g),))
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
-            enabled: bool = True) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); disabled is identity."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-rate); rate 0 is identity."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not enabled or rate == 0.0:
+    if rate == 0.0:
         return x
     if rng is None:
         raise ValueError("enabled dropout needs an rng stream")

@@ -75,7 +75,7 @@ def linear_pool(members: list, weights=None) -> DensityGrid:
     return DensityGrid(pooled, spec)
 
 
-def ensemble_spread(ens: EnsembleSet, grid: GridSpec, population: bool = True):
+def ensemble_spread(ens: EnsembleSet, grid: GridSpec):
     """Per-gridpoint standard deviation of member expectations, plus a scalar.
 
     The scalar aggregates the squared spread with the same latitude-weighted
@@ -85,8 +85,7 @@ def ensemble_spread(ens: EnsembleSet, grid: GridSpec, population: bool = True):
     if ens.n_members < 2:
         raise ValueError("spread needs at least 2 members")
     exps = ens.member_expectations()            # (n, N, H, W)
-    ddof = 0 if population else 1
-    var = exps.var(axis=0, ddof=ddof)           # (N, H, W)
+    var = exps.var(axis=0)                      # (N, H, W), population (ddof 0)
     spread_field = np.sqrt(var)
     w = latitude_weights(grid)
     if var.shape[-2] != w.size:

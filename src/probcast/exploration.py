@@ -89,14 +89,14 @@ class ImportanceReport:
 
 
 def _pooled_mse(spec: ExperimentSpec, ds: Dataset, splits: SplitPlan,
-                sched: TrainingSchedule, eval_split: str = "stacked_validation"):
+                sched: TrainingSchedule):
     """Train one learner, pool a dropout ensemble, score its expectation."""
     cfg = ResNetConfig(inputs=spec.all_inputs(), target=spec.target,
                        lead_hours=spec.lead_hours, n_blocks=spec.n_blocks,
                        n_bins=spec.n_bins, kernel=spec.kernel)
     model = ResNet(cfg, seed=spec.seed)
     train(model, ds, splits.train, splits.neural_validation, sched, seed=spec.seed)
-    X, truth, _ = build_samples(ds, cfg, splits.range(eval_split))
+    X, truth, _ = build_samples(ds, cfg, splits.stacked_validation)
     ens = generate_ensemble(model, X, n_members=spec.n_members,
                             master_seed=spec.seed)
     pooled = linear_pool(ens.members)
@@ -105,23 +105,22 @@ def _pooled_mse(spec: ExperimentSpec, ds: Dataset, splits: SplitPlan,
 
 
 def run_benchmark(spec: ExperimentSpec, ds: Dataset, splits: SplitPlan,
-                  sched: TrainingSchedule, eval_split: str = "stacked_validation"):
+                  sched: TrainingSchedule):
     """The no-extra-inputs run every candidate is compared against."""
     bench = replace(spec, extra_inputs=[])
-    model, stats = _pooled_mse(bench, ds, splits, sched, eval_split)
+    model, stats = _pooled_mse(bench, ds, splits, sched)
     logger.info("benchmark MSE %.6g CI [%.6g, %.6g]", *stats)
     return model, stats
 
 
 def run_candidate(spec: ExperimentSpec, benchmark_mse: float, ds: Dataset,
-                  splits: SplitPlan, sched: TrainingSchedule,
-                  eval_split: str = "stacked_validation") -> ImportanceRow:
+                  splits: SplitPlan, sched: TrainingSchedule) -> ImportanceRow:
     """One candidate experiment expressed relative to the benchmark MSE.
 
     The benchmark is treated as a fixed scale: the candidate's interval is
     multiplied by 100/benchmark, matching per-candidate error bars.
     """
-    _, (mse, lo, hi) = _pooled_mse(spec, ds, splits, sched, eval_split)
+    _, (mse, lo, hi) = _pooled_mse(spec, ds, splits, sched)
     return ImportanceRow.from_absolute(spec.name, spec.extra_inputs, mse, lo, hi,
                                        benchmark_mse)
 
@@ -157,8 +156,7 @@ def build_report(benchmark_mse: float, rows: list) -> ImportanceReport:
 
 
 def sweep_blocks(spec: ExperimentSpec, block_counts: list, ds: Dataset,
-                 splits: SplitPlan, sched: TrainingSchedule,
-                 eval_split: str = "stacked_validation") -> list:
+                 splits: SplitPlan, sched: TrainingSchedule) -> list:
     """Pooled RMSE per residual-block count; the argmin row is flagged.
 
     Returns rows of dicts sorted by block count.
@@ -168,7 +166,7 @@ def sweep_blocks(spec: ExperimentSpec, block_counts: list, ds: Dataset,
     rows = []
     for n_blocks in sorted(set(int(b) for b in block_counts)):
         run = replace(spec, n_blocks=n_blocks)
-        _, (mse, lo, hi) = _pooled_mse(run, ds, splits, sched, eval_split)
+        _, (mse, lo, hi) = _pooled_mse(run, ds, splits, sched)
         rows.append({"n_blocks": n_blocks, "rmse": float(np.sqrt(mse)),
                      "mse": mse, "ci": (lo, hi), "argmin": False})
     best = min(range(len(rows)), key=lambda i: rows[i]["rmse"])

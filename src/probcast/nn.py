@@ -20,8 +20,6 @@ class Conv2d:
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  rng: np.random.Generator, dtype=np.float32):
-        if kernel % 2 == 0:
-            raise ValueError("kernel size must be odd")
         std = _he_std(in_channels * kernel * kernel)
         w = rng.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel))
         self.w = Tensor(w.astype(dtype), requires_grad=True)
@@ -61,16 +59,15 @@ class BatchNorm2d:
         self.momentum = momentum
         self.eps = eps
 
-    def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         if training:
             mean = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
             var = x.data.var(axis=(0, 2, 3), dtype=np.float64)
-            if update_stats is None or update_stats:
-                m = self.momentum
-                self.running_mean = ((1 - m) * self.running_mean
-                                     + m * mean).astype(self.running_mean.dtype)
-                self.running_var = ((1 - m) * self.running_var
-                                    + m * var).astype(self.running_var.dtype)
+            m = self.momentum
+            self.running_mean = ((1 - m) * self.running_mean
+                                 + m * mean).astype(self.running_mean.dtype)
+            self.running_var = ((1 - m) * self.running_var
+                                + m * var).astype(self.running_var.dtype)
             return ad.batch_norm(x, self.gamma, self.beta,
                                  mean.astype(x.data.dtype), var.astype(x.data.dtype),
                                  eps=self.eps, stats_from_batch=True)
@@ -88,27 +85,6 @@ class BatchNorm2d:
     def set_buffers(self, mean: np.ndarray, var: np.ndarray):
         self.running_mean = mean.astype(self.running_mean.dtype)
         self.running_var = var.astype(self.running_var.dtype)
-
-
-class LayerNorm2d:
-    """Per-sample normalization over (C, H, W); config alternative to batch norm."""
-
-    def __init__(self, channels: int, eps: float = 1e-5, dtype=np.float32):
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.eps = eps
-
-    def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, eps=self.eps)
-
-    def parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def buffers(self):
-        return []
-
-    def set_buffers(self, *arrays):
-        pass
 
 
 class Adam:

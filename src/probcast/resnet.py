@@ -1,7 +1,7 @@
 """Convolutional residual network emitting per-gridpoint bin densities.
 
 Architecture: input standardization, a projection convolution onto
-n_bins working channels, n residual blocks (conv -> norm -> leaky
+n_bins working channels, n residual blocks (conv -> batch norm -> leaky
 rectifier -> dropout, with an additive skip around the block), and an
 output convolution to one channel per bin followed by SoftMax.
 """
@@ -19,7 +19,7 @@ from .autodiff import Tensor
 from .binning import BinSpec, DensityGrid, discretize, fit_bins
 from .checkpoint import load_model, restore_state, save_model, snap_f32
 from .grid import Dataset
-from .nn import LEAKY_ALPHA, Adam, BatchNorm2d, Conv2d, LayerNorm2d
+from .nn import LEAKY_ALPHA, Adam, BatchNorm2d, Conv2d
 
 logger = logging.getLogger(__name__)
 
@@ -33,15 +33,16 @@ class ResNetConfig:
     n_bins: int = 100            # also the working channel count
     kernel: int = 5
     dropout_rate: float = 0.1    # 0 disables dropout
-    norm: str = "batch"          # or "layer"
 
     def __post_init__(self):
+        if not self.inputs:
+            raise ValueError("inputs: need at least one input channel")
         if self.n_blocks < 1:
             raise ValueError("need at least one residual block")
-        if self.kernel % 2 == 0:
-            raise ValueError("kernel size must be odd")
-        if self.norm not in ("batch", "layer"):
-            raise ValueError(f"unknown norm {self.norm!r}")
+        if self.n_bins < 2:
+            raise ValueError(f"n_bins must be at least 2, got {self.n_bins}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be a positive odd size, got {self.kernel}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
         self.inputs = [(str(n), l) for n, l in self.inputs]
@@ -196,12 +197,11 @@ class ResNet:
         self.dtype = dtype
         rng = np.random.default_rng(np.random.SeedSequence([0x5EED, self.seed]))
         ch, k = cfg.n_bins, cfg.kernel
-        norm_cls = BatchNorm2d if cfg.norm == "batch" else LayerNorm2d
         self.conv_in = Conv2d(len(cfg.inputs), ch, k, rng, dtype)
         self.blocks = []
         for _ in range(cfg.n_blocks):
             self.blocks.append({"conv": Conv2d(ch, ch, k, rng, dtype),
-                                "norm": norm_cls(ch, dtype=dtype)})
+                                "norm": BatchNorm2d(ch, dtype=dtype)})
         self.conv_out = Conv2d(ch, cfg.n_bins, k, rng, dtype)
         self.binspec: BinSpec | None = None
         self.input_mean: np.ndarray | None = None
@@ -254,34 +254,27 @@ class ResNet:
 
     def forward(self, x_raw: np.ndarray, training: bool = False,
                 dropout_enabled: bool = False,
-                rng: np.random.Generator | None = None,
-                update_stats: bool | None = None) -> Tensor:
+                rng: np.random.Generator | None = None) -> Tensor:
         """Raw input channels (B, C, H, W) to output logits (B, n_bins, H, W)."""
-        return self._head(*self._trunk(x_raw, training, update_stats),
-                          training, dropout_enabled, rng, update_stats)
+        return self._head(*self._trunk(x_raw, training), training, dropout_enabled, rng)
 
-    def _block_body(self, blk: dict, y: Tensor, training: bool,
-                    update_stats: bool | None) -> Tensor:
-        h = blk["conv"](y)
-        h = blk["norm"](h, training=training, update_stats=update_stats)
+    def _block_body(self, blk: dict, y: Tensor, training: bool) -> Tensor:
+        h = blk["norm"](blk["conv"](y), training=training)
         return ad.leaky_relu(h, LEAKY_ALPHA)
 
-    def _trunk(self, x_raw: np.ndarray, training: bool,
-               update_stats: bool | None) -> tuple:
+    def _trunk(self, x_raw: np.ndarray, training: bool) -> tuple:
         """Everything before the first dropout: conv_in's output and block 0's body."""
         y = self.conv_in(Tensor(self._standardize(np.asarray(x_raw))))
-        return y, self._block_body(self.blocks[0], y, training, update_stats)
+        return y, self._block_body(self.blocks[0], y, training)
 
     def _head(self, y: Tensor, h: Tensor, training: bool, dropout_enabled: bool,
-              rng: np.random.Generator | None, update_stats: bool | None) -> Tensor:
+              rng: np.random.Generator | None) -> Tensor:
         """Block 0's dropout and skip, the remaining blocks, then conv_out."""
-        rate = self.cfg.dropout_rate
-        use_dropout = dropout_enabled and rate > 0
         for i, blk in enumerate(self.blocks):
             if i:
-                h = self._block_body(blk, y, training, update_stats)
-            if use_dropout:
-                h = ad.dropout(h, rate, rng)
+                h = self._block_body(blk, y, training)
+            if dropout_enabled:
+                h = ad.dropout(h, self.cfg.dropout_rate, rng)
             y = ad.add(y, h)
         return self.conv_out(y)
 
@@ -308,10 +301,10 @@ class ResNet:
         # them out: expectation()'s matmul rounds differently on other layouts
         outs = [np.empty((n, self.cfg.n_bins, n_lat, n_lon)) for _ in rngs]
         for i in range(0, n, batch_size):
-            y, h = self._trunk(x_raw[i:i + batch_size], False, None)
+            y, h = self._trunk(x_raw[i:i + batch_size], False)
             for out, rng in zip(outs, rngs):
                 dst = out[i:i + batch_size]
-                dst[...] = self._head(y, h, False, dropout_enabled, rng, None).data
+                dst[...] = self._head(y, h, False, dropout_enabled, rng).data
                 ad.softmax_array(dst, 1, out=dst)
         return [DensityGrid(np.moveaxis(out, 1, -1), self.binspec) for out in outs]
 

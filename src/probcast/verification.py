@@ -7,8 +7,7 @@ Conventions fixed here and relied on by the tests:
     expectations are taken. cdf_threshold, by contrast, spreads mass
     uniformly inside each bin because threshold maps are read between
     representatives.
-  - Mean CRPS is an unweighted average over gridpoints and times; a
-    latitude-weighted variant sits behind a flag.
+  - Mean CRPS is an unweighted average over gridpoints and times.
   - Per-point confidence intervals use Z sigma/sqrt(N) with N equal to the
     number of bins, and Z = 1.960 / 2.576. That narrows with bin count
     irrespective of the data; it is implemented verbatim, not reinterpreted.
@@ -105,18 +104,9 @@ def crps(d: DensityGrid, obs) -> np.ndarray:
     return out.reshape(obs.shape)
 
 
-def mean_crps(d: DensityGrid, obs, latitude_weighted: bool = False,
-              grid: GridSpec | None = None) -> float:
-    """Average CRPS over all gridpoints and times (unweighted by default)."""
-    per_point = crps(d, obs)
-    if not latitude_weighted:
-        return float(per_point.mean())
-    if grid is None:
-        raise ValueError("latitude weighting needs the grid")
-    w = latitude_weights(grid)
-    if per_point.ndim == 2:
-        per_point = per_point[None]
-    return float((per_point * w[None, :, None]).mean())
+def mean_crps(d: DensityGrid, obs) -> float:
+    """Unweighted average CRPS over all gridpoints and times."""
+    return float(crps(d, obs).mean())
 
 
 # --- distribution diagnostics -------------------------------------------------------

@@ -162,6 +162,18 @@ def test_bad_model_checkpoint_is_typed_error(tmp_path, kind, build, cls, mutatio
         cls.load(path)
 
 
+@pytest.mark.parametrize("field, value", [("norm", "batch"), ("mode", "categorical"),
+                                          ("channels", 10)])
+def test_removed_config_field_is_refused(tmp_path, field, value):
+    path = tmp_path / "model.pwnn"
+    _resnet().save(path)
+    header, arrays = load_checkpoint(path)
+    header["config"][field] = value
+    save_checkpoint(path, header, arrays)
+    with pytest.raises(CheckpointError, match=field):
+        ResNet.load(path)
+
+
 def test_unfit_resnet_round_trips(tmp_path):
     model = _resnet()
     model.input_mean = model.input_std = model.binspec = None

@@ -190,6 +190,19 @@ class TestPipeline:
         assert capsys.readouterr().err.startswith("error: dropout rate")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, field", [("--bins", "0", "n_bins"),
+                                                   ("--inputs", ",", "inputs"),
+                                                   ("--kernel", "-1", "kernel")])
+    def test_train_refuses_impossible_config(self, pipeline, flag, value, field,
+                                             tmp_path, capsys):
+        _, data = pipeline
+        out = tmp_path / "out"
+        assert run("train", f"{flag}={value}", "--data", data, "--seed", 1,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
     def test_baselines_command(self, pipeline, capsys):
         root, data = pipeline
         assert run("baselines", "--data", data, "--target", "z:500",

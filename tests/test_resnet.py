@@ -36,7 +36,7 @@ def identity_stats(model, n_channels):
 
 class TestConfig:
     def test_json_round_trip(self):
-        cfg = toy_config(dropout_rate=0.0, norm="layer")
+        cfg = toy_config(dropout_rate=0.0)
         assert ResNetConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
     def test_invalid_configs(self):
@@ -46,6 +46,10 @@ class TestConfig:
             toy_config(kernel=4)
         with pytest.raises(ValueError):
             toy_config(dropout_rate=1.0)
+        for field, value in [("inputs", []), ("n_bins", 1), ("kernel", -1),
+                             ("kernel", 0)]:
+            with pytest.raises(ValueError, match=field):
+                toy_config(**{field: value})
 
 
 class TestBuildModel:
@@ -70,10 +74,9 @@ class TestBuildModel:
         assert any(not np.array_equal(ta.data, tb.data)
                    for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()))
 
-    @pytest.mark.parametrize("norm", ["batch", "layer"])
     @pytest.mark.parametrize("training", [False, True])
-    def test_zeroed_residual_branches_are_identity(self, norm, training):
-        cfg = toy_config(n_blocks=2, norm=norm, dropout_rate=0.2)
+    def test_zeroed_residual_branches_are_identity(self, training):
+        cfg = toy_config(n_blocks=2, dropout_rate=0.2)
         model = ResNet(cfg, seed=1)
         identity_stats(model, 2)
         for blk in model.blocks:
@@ -84,10 +87,53 @@ class TestBuildModel:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 2, 8, 16)).astype(np.float32)
         full = model.forward(x, training=training, dropout_enabled=training,
-                             rng=np.random.default_rng(1), update_stats=False)
+                             rng=np.random.default_rng(1))
         proj = model.conv_in(Tensor(model._standardize(x)))
         skip_only = model.conv_out(proj)
         np.testing.assert_array_equal(full.data, skip_only.data)
+
+
+class TestRunningStatistics:
+    @staticmethod
+    def _model_and_batch():
+        model = ResNet(toy_config(n_blocks=3), seed=2)
+        identity_stats(model, 2)
+        rng = np.random.default_rng(4)
+        for blk in model.blocks:  # start away from the (0, 1) defaults
+            blk["norm"].set_buffers(rng.normal(size=10), rng.uniform(0.5, 2.0, size=10))
+        return model, rng.normal(size=(4, 2, 8, 16)).astype(np.float32)
+
+    def test_training_forward_takes_one_momentum_step(self):
+        model, x = self._model_and_batch()
+        norms = [blk["norm"] for blk in model.blocks]
+        before = [(n.running_mean.copy(), n.running_var.copy()) for n in norms]
+        seen = []
+        for blk, norm in zip(model.blocks, norms):  # record each norm's input
+
+            def record(h, training, bn=norm):
+                seen.append(h.data.copy())
+                return bn(h, training=training)
+            blk["norm"] = record
+        model.forward(x, training=True)
+        assert len(seen) == len(norms)
+        for (mean0, var0), h, norm in zip(before, seen, norms):
+            m = norm.momentum
+            mean = h.mean(axis=(0, 2, 3), dtype=np.float64)
+            var = h.var(axis=(0, 2, 3), dtype=np.float64)
+            np.testing.assert_array_equal(
+                norm.running_mean, ((1 - m) * mean0 + m * mean).astype(np.float32))
+            np.testing.assert_array_equal(
+                norm.running_var, ((1 - m) * var0 + m * var).astype(np.float32))
+            assert not np.array_equal(norm.running_mean, mean0)
+            assert not np.array_equal(norm.running_var, var0)
+
+    def test_eval_forward_leaves_buffers(self):
+        model, x = self._model_and_batch()
+        before = [(n, a.copy()) for n, a in model.state_arrays()]
+        model.forward(x, training=False)
+        for (n0, a0), (n1, a1) in zip(before, model.state_arrays()):
+            assert n0 == n1
+            np.testing.assert_array_equal(a0, a1)
 
 
 @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"batch_size": -1},
@@ -292,15 +338,14 @@ class TestFullModelGradientAudit:
 
             def loss():
                 out = model.forward(x, training=True, dropout_enabled=True,
-                                    rng=np.random.default_rng(31 + seed),
-                                    update_stats=False)
+                                    rng=np.random.default_rng(31 + seed))
                 return ad.sparse_categorical_cross_entropy(ad.softmax(out), bins)
 
             # finite differences are meaningless across the rectifier kink;
             # keep only seeds whose pre-activations clear it by a wide margin
             proj = model.conv_in(Tensor(model._standardize(x)))
             pre = model.blocks[0]["norm"](model.blocks[0]["conv"](proj),
-                                          training=True, update_stats=False).data
+                                          training=True).data
             if np.abs(pre).min() < margin:
                 continue
             params = [t for _, t in model.parameters()]

@@ -183,20 +183,6 @@ class TestMeanCrps:
         y = np.array([1.0, 3.0])  # CRPS = |0-1| = 1 and |0-3| = 3
         assert mean_crps(DensityGrid(p, spec), y) == pytest.approx(2.0)
 
-    def test_weighted_variant_behind_flag(self):
-        rng = np.random.default_rng(7)
-        grid = GridSpec.regular(4, 5)
-        d = random_density(rng, (2, 4, 5), 6)
-        y = rng.uniform(0, 10, size=(2, 4, 5))
-        unweighted = mean_crps(d, y)
-        weighted = mean_crps(d, y, latitude_weighted=True, grid=grid)
-        assert weighted != unweighted  # generic fields: weighting matters
-        per_point = crps(d, y)
-        w = np.cos(np.deg2rad(grid.latitudes_deg))
-        w = w / w.mean()
-        assert weighted == pytest.approx(
-            float((per_point * w[None, :, None]).mean()), rel=1e-12)
-
 
 class TestCoverage:
     def test_one_hot_truth_at_representative_is_fully_covered(self):
