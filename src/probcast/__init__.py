@@ -10,11 +10,10 @@ threshold contours).
 
 from .binning import (BinSpec, CategoricalField, DensityGrid, density_stddev,
                       discretize, expectation, fit_bins, inbuilt_rmse)
-from .ensemble import (EnsembleSet, ensemble_spread, generate_ensemble,
-                       linear_pool, spread_skill_ratio)
+from .ensemble import EnsembleSet, ensemble_spread, generate_ensemble, linear_pool
 from .gfb import GFBDecodeError, load_dataset, save_dataset
 from .grid import (CONSTANT, SURFACE, Dataset, Field, GridSpec, SplitPlan,
-                   anomaly, climatology, latitude_weights, persistence_forecast)
+                   climatology, latitude_weights, persistence_forecast)
 from .resnet import (ResNet, ResNetConfig, TrainHistory, TrainingSchedule,
                      build_samples, train)
 from .stacking import (LearnerOutput, StackConfig, StackModel, assemble_stack_inputs,

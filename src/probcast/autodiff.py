@@ -42,14 +42,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, " \
                f"requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, c):
-        return mul_scalar(self, c)
-
-    __rmul__ = __mul__
-
     def backward(self):
         """Accumulate gradients of this scalar into every reachable tensor."""
         if self.data.size != 1:
@@ -98,11 +90,6 @@ def add(x: Tensor, y: Tensor) -> Tensor:
     if x.data.shape != y.data.shape:
         raise ValueError(f"add shape mismatch {x.data.shape} vs {y.data.shape}")
     return Tensor(x.data + y.data, _parents=(x, y), _vjp=lambda g: (g, g))
-
-
-def mul_scalar(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return Tensor(x.data * c, _parents=(x,), _vjp=lambda g: (g * c,))
 
 
 def square(x: Tensor) -> Tensor:

@@ -172,12 +172,15 @@ def _load_ensemble_dir(path):
 def _load_learners(dirs: str, spec: BinSpec | None = None):
     """Pooled expectations of the comma-listed ensemble dirs, each read once.
 
-    Every learner must cover the first one's samples and use one bin spec:
-    spec when given, else the first learner's. Returns (outputs, first
-    manifest, bin spec, truth, grid).
+    Every learner must be a different dir, cover the first one's samples and
+    use one bin spec: spec when given, else the first learner's. Returns
+    (outputs, first manifest, bin spec, truth, grid).
     """
-    outputs = []
+    outputs, seen = [], set()
     for d in map(Path, dirs.split(",")):
+        if d.resolve() in seen:
+            raise SystemExit(f"learner {d} is listed twice")
+        seen.add(d.resolve())
         manifest, pooled, t, g = _load_ensemble_dir(d)
         if not outputs:
             first, truth, grid = manifest, t, g

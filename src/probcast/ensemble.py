@@ -92,10 +92,3 @@ def ensemble_spread(ens: EnsembleSet, grid: GridSpec):
         raise ValueError("spread grid does not match the latitude axis")
     scalar = float(np.sqrt(np.mean(var * w[:, None], dtype=np.float64)))
     return spread_field, scalar
-
-
-def spread_skill_ratio(spread: float, rmse: float) -> float:
-    """Spread over RMSE; 1 indicates a well-dispersed ensemble."""
-    if rmse <= 0:
-        raise ValueError("rmse must be positive to form the ratio")
-    return float(spread) / float(rmse)

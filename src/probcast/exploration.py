@@ -1,13 +1,10 @@
-"""Input-importance harness: benchmark-relative errors, CI-aware optimum picks,
-and the residual-block sweep."""
+"""Input-importance harness: benchmark-relative errors and CI-aware optimum picks."""
 
 from __future__ import annotations
 
 import json
 import logging
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .binning import expectation
 from .ensemble import generate_ensemble, linear_pool
@@ -153,22 +150,3 @@ def build_report(benchmark_mse: float, rows: list) -> ImportanceReport:
     select_optimum(rows)
     ordered = sorted(rows, key=lambda r: r.relative_pct)
     return ImportanceReport(benchmark_mse=benchmark_mse, rows=ordered)
-
-
-def sweep_blocks(spec: ExperimentSpec, block_counts: list, ds: Dataset,
-                 splits: SplitPlan, sched: TrainingSchedule) -> list:
-    """Pooled RMSE per residual-block count; the argmin row is flagged.
-
-    Returns rows of dicts sorted by block count.
-    """
-    if not block_counts:
-        raise ValueError("empty block list")
-    rows = []
-    for n_blocks in sorted(set(int(b) for b in block_counts)):
-        run = replace(spec, n_blocks=n_blocks)
-        _, (mse, lo, hi) = _pooled_mse(run, ds, splits, sched)
-        rows.append({"n_blocks": n_blocks, "rmse": float(np.sqrt(mse)),
-                     "mse": mse, "ci": (lo, hi), "argmin": False})
-    best = min(range(len(rows)), key=lambda i: rows[i]["rmse"])
-    rows[best]["argmin"] = True
-    return rows

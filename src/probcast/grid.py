@@ -90,15 +90,6 @@ class Field:
             raise ValueError(f"field {self.variable}/{self.level} has non-finite values")
 
 
-def anomaly(field: Field, clim: Field) -> Field:
-    """Pointwise deviation of a field from a climatology field."""
-    if field.values.shape != clim.values.shape:
-        raise ValueError(
-            f"grid mismatch: field {field.values.shape} vs climatology {clim.values.shape}"
-        )
-    return Field(field.variable, field.level, field.values - clim.values)
-
-
 class Dataset:
     """Time-indexed multi-variable gridded data.
 

@@ -1,6 +1,8 @@
 """Forecast verification: weighted errors, CRPS, coverage, top-k, CDF maps.
 
 Conventions fixed here and relied on by the tests:
+  - Every density score takes its probabilities from DensityGrid.validate,
+    so a density with entries outside [0, 1] or mass off 1 is refused.
   - RMSE and MSE weight each gridpoint by normalized cos(latitude).
   - The forecast CDF behind the CRPS is a step function with the bin mass
     placed at the bin's representative (lower-bound) value, matching how
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import DensityGrid, _checked_probs, density_stddev, discretize, expectation
+from .binning import DensityGrid, density_stddev, discretize, expectation
 from .grid import GridSpec, latitude_weights
 
 Z_95 = 1.960
@@ -75,7 +77,7 @@ def crps(d: DensityGrid, obs) -> np.ndarray:
     an exact finite sum; observations outside the bin support contribute
     their full tail segments.
     """
-    p = _checked_probs(d)
+    p = d.validate()
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != p.shape[:-1]:
         raise ValueError(f"observation shape {obs.shape} does not match "
@@ -142,7 +144,7 @@ def topk_match(d: DensityGrid, true_bins, k: int) -> float:
     if not 1 <= k <= d.spec.n_bins:
         raise ValueError(f"k must be in [1, {d.spec.n_bins}]")
     bins = np.asarray(true_bins)
-    p = d.probs.reshape(-1, d.spec.n_bins)
+    p = d.validate().reshape(-1, d.spec.n_bins)
     top = np.argsort(-p, axis=1, kind="stable")[:, :k]
     match = (top == bins.reshape(-1, 1)).any(axis=1)
     return float(100.0 * match.mean())
@@ -161,7 +163,7 @@ def cdf_threshold(d: DensityGrid, threshold: float) -> ThresholdMap:
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
     spec = d.spec
-    p = d.probs.astype(np.float64, copy=False)
+    p = d.validate()
     pos = (threshold - spec.v_min) / spec.width
     if pos <= 0:
         return ThresholdMap(threshold, np.zeros(p.shape[:-1]))
@@ -301,7 +303,8 @@ def render_report_table(report: ScoreReport, include_reference: bool = True) -> 
     ]
     if report.spread is not None:
         rows.append(("ensemble spread", f"{report.spread:.6g}"))
-        rows.append(("spread/skill", f"{report.spread_skill:.4f}"))
+        rows.append(("spread/skill", "n/a" if report.spread_skill is None
+                      else f"{report.spread_skill:.4f}"))
     for name in ("ci95", "ci99", "sigma1", "sigma2"):
         rows.append((f"coverage {name}", f"{report.coverage[name]:.2f}%"))
     for k in sorted(report.topk):

@@ -4,7 +4,8 @@ import pytest
 from probcast.binning import (BinSpec, DensityGrid, density_stddev, discretize,
                               expectation, fit_bins, inbuilt_rmse)
 from probcast.grid import Dataset, GridSpec
-from probcast.verification import REFERENCE_BINNING, crps
+from probcast.verification import (REFERENCE_BINNING, cdf_threshold, coverage_stats,
+                                   crps, topk_match)
 
 
 def random_density(rng, shape, n_bins):
@@ -102,14 +103,39 @@ class TestDiscretize:
         np.testing.assert_array_equal(bins, again)
 
 
-@pytest.mark.parametrize("check", [lambda d: d.validate(), expectation,
-                                   lambda d: crps(d, np.zeros(d.probs.shape[:-1]))],
-                         ids=["validate", "expectation", "crps"])
-def test_nan_gridpoint_is_rejected(check):
+def _nan_gridpoint():
     p = np.full((2, 3, 4), 0.25)
     p[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        check(DensityGrid(p, BinSpec(0.0, 4.0, 4)))
+    return p
+
+
+def _negative_mass():
+    """0.5 of the mass moved from bin 0 to bin 1: rows still sum to 1."""
+    p = np.full((2, 3, 4), 0.25)
+    p[..., 0] -= 0.5
+    p[..., 1] += 0.5
+    return p
+
+
+_SCORING_ENTRY_POINTS = {
+    "validate": lambda d: d.validate(),
+    "expectation": expectation,
+    "crps": lambda d: crps(d, np.zeros(d.probs.shape[:-1])),
+    "density_stddev": density_stddev,
+    "coverage_stats": lambda d: coverage_stats(d, np.zeros(d.probs.shape[:-1])),
+    "topk_match": lambda d: topk_match(d, np.zeros(d.probs.shape[:-1], int), 1),
+    "cdf_threshold": lambda d: cdf_threshold(d, 2.5),
+}
+
+
+@pytest.mark.parametrize("check, make", [
+    pytest.param(check, make, id=name + suffix)
+    for make, suffix in ((_nan_gridpoint, ""), (_negative_mass, "-negative_mass"))
+    for name, check in _SCORING_ENTRY_POINTS.items()])
+def test_nan_gridpoint_is_rejected(check, make):
+    """Every scoring entry point refuses a NaN gridpoint and negative mass."""
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        check(DensityGrid(make(), BinSpec(0.0, 4.0, 4)))
 
 
 class TestExpectation:

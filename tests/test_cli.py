@@ -141,6 +141,32 @@ class TestPipeline:
                 f"{dirs['m1_test']},{dirs['m2_test']}", "--out", out)
         assert not out.exists()
 
+    def test_stack_refuses_learner_listed_twice(self, pipeline, tmp_path):
+        root, _ = pipeline
+        learner = root / "m1_stacked_validation"
+        out = tmp_path / "stack"
+        with pytest.raises(SystemExit, match="listed twice"):
+            run("stack", "--learners", f"{learner},{learner}", "--seed", 3,
+                "--out", out)
+        assert not (out / "stack.pwnn").exists()
+
+    @pytest.mark.parametrize("cmd", [["evaluate"],
+                                     ["contours", "--sample", 0, "--threshold", 0]],
+                             ids=["evaluate", "contours"])
+    def test_refuses_negative_mass_density(self, pipeline, cmd, tmp_path, capsys):
+        root, _ = pipeline
+        shutil.copytree(root / "m1_test", tmp_path / "m1_test")
+        path = tmp_path / "m1_test" / "pooled_probs.npy"
+        probs = np.load(path)
+        probs[..., 0] -= 0.5
+        probs[..., 1] += 0.5
+        assert probs.min() < 0
+        np.save(path, probs)
+        out = tmp_path / "out"
+        assert run(*cmd, "--ensemble", tmp_path / "m1_test", "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [lambda b: b.pop("v_min"),
                                       lambda b: b.update(width=1.0),
                                       lambda b: b.update(v_max="x")],

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from probcast.binning import BinSpec, DensityGrid, expectation
-from probcast.ensemble import (EnsembleSet, ensemble_spread, generate_ensemble,
-                               linear_pool, spread_skill_ratio)
+from probcast.ensemble import EnsembleSet, ensemble_spread, generate_ensemble, linear_pool
 from probcast.grid import GridSpec, SplitPlan
 from probcast.resnet import ResNet, ResNetConfig, TrainingSchedule, build_samples, train
 from probcast.synth import SynthConfig, synth_generate
@@ -249,16 +248,6 @@ class TestSpread:
 
 
 class TestSpreadSkill:
-    def test_equal_spread_and_rmse(self):
-        assert spread_skill_ratio(3.0, 3.0) == 1.0
-
-    def test_half_ratio(self):
-        assert spread_skill_ratio(2.0, 4.0) == 0.5
-
-    def test_zero_rmse_rejected(self):
-        with pytest.raises(ValueError):
-            spread_skill_ratio(1.0, 0.0)
-
     def test_trained_toy_ratio_is_sane(self, trained_toy):
         from probcast.verification import weighted_rmse
         ds, model, X, truth = trained_toy
@@ -266,5 +255,5 @@ class TestSpreadSkill:
         pooled = linear_pool(ens.members)
         _, spread = ensemble_spread(ens, ds.grid)
         rmse = weighted_rmse(expectation(pooled), truth, ds.grid)
-        ratio = spread_skill_ratio(spread, rmse)
+        ratio = spread / rmse
         assert 0.0 < ratio < 2.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from probcast.exploration import (ExperimentSpec, ImportanceRow, build_report,
-                                  run_benchmark, select_optimum, sweep_blocks)
+                                  run_benchmark, select_optimum)
 from probcast.grid import SplitPlan, climatology
 from probcast.resnet import TrainingSchedule
 from probcast.synth import SynthConfig, synth_generate
@@ -101,25 +101,3 @@ class TestHarness:
         clim_mse, _, _ = weighted_mse_ci(
             np.repeat(clim.values[None], truth.shape[0], axis=0), truth, ds.grid)
         assert mse1 < clim_mse
-
-    def test_sweep_blocks_single_entry(self, tiny_setup):
-        ds, splits, sched, spec = tiny_setup
-        rows = sweep_blocks(spec, [1], ds, splits, sched)
-        assert len(rows) == 1
-        assert rows[0]["argmin"]
-        assert np.isfinite(rows[0]["rmse"])
-
-    def test_sweep_blocks_order_invariant(self, tiny_setup):
-        ds, splits, sched, spec = tiny_setup
-        a = sweep_blocks(spec, [2, 1], ds, splits, sched)
-        b = sweep_blocks(spec, [1, 2], ds, splits, sched)
-        assert [r["n_blocks"] for r in a] == [1, 2]
-        assert [r["rmse"] for r in a] == [r["rmse"] for r in b]
-        assert ([r["n_blocks"] for r in a if r["argmin"]]
-                == [r["n_blocks"] for r in b if r["argmin"]])
-        assert all(np.isfinite(r["rmse"]) for r in a)
-
-    def test_empty_block_list_rejected(self, tiny_setup):
-        ds, splits, sched, spec = tiny_setup
-        with pytest.raises(ValueError):
-            sweep_blocks(spec, [], ds, splits, sched)

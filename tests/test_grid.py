@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from probcast.grid import (CONSTANT, SURFACE, Dataset, Field, GridSpec, SplitPlan,
-                           anomaly, climatology, latitude_weights,
-                           persistence_forecast)
+from probcast.grid import (CONSTANT, SURFACE, Dataset, GridSpec, SplitPlan,
+                           climatology, latitude_weights, persistence_forecast)
 
 
 def small_dataset(n_time=8, n_lat=4, n_lon=6, seed=0):
@@ -133,29 +132,6 @@ class TestPersistence:
     def test_lead_exceeding_span(self):
         with pytest.raises(ValueError):
             persistence_forecast(small_dataset(n_time=4), "z", 500, 24 * 10)
-
-
-class TestAnomaly:
-    def test_field_minus_itself_is_zero(self):
-        f = Field("z", 500, np.ones((3, 4)))
-        np.testing.assert_array_equal(anomaly(f, f).values, 0.0)
-
-    def test_zero_climatology_is_identity(self):
-        rng = np.random.default_rng(1)
-        vals = rng.normal(size=(3, 4))
-        f = Field("z", 500, vals)
-        z = Field("z", 500, np.zeros((3, 4)))
-        np.testing.assert_array_equal(anomaly(f, z).values, vals)
-
-    def test_matches_elementwise_subtraction(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.normal(size=(2, 5, 6))
-        out = anomaly(Field("t", 850, a), Field("t", 850, b))
-        np.testing.assert_allclose(out.values, a - b, rtol=0, atol=0)
-
-    def test_grid_mismatch_errors(self):
-        with pytest.raises(ValueError):
-            anomaly(Field("z", 500, np.ones((3, 4))), Field("z", 500, np.ones((4, 3))))
 
 
 class TestSplitPlan:

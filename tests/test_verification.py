@@ -320,6 +320,20 @@ class TestScoreReport:
         assert back == report
         assert back.to_json() == text
 
+    def test_perfect_forecast_leaves_spread_skill_unset(self):
+        spec = BinSpec(0.0, 10.0, 10)
+        bins = np.random.default_rng(17).integers(0, 10, size=(3, 4, 6))
+        d = DensityGrid(np.eye(10)[bins], spec)
+        report = assemble_report(d, spec.lower_bound(bins), GridSpec.regular(4, 6),
+                                 variable="z", level=500, lead_hours=72,
+                                 split="test", spread=0.5)
+        assert report.weighted_rmse == 0.0
+        assert report.spread_skill is None
+        assert ScoreReport.from_json(report.to_json()) == report
+        row = next(line for line in render_report_table(report).splitlines()
+                   if line.startswith("spread/skill"))
+        assert row.split()[-1] == "n/a"
+
     def test_interval_brackets_mse(self):
         report = self.make_report()
         assert report.mse_ci_lo <= report.weighted_mse <= report.mse_ci_hi
