@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import struct
 from pathlib import Path
 
@@ -46,7 +45,11 @@ def save_checkpoint(path, config: dict, arrays: list) -> None:
 
 def load_checkpoint(path):
     """Returns (config dict, list of (name, f32 array)) in stored order."""
-    r = ByteReader(Path(path).read_bytes(), CheckpointError)
+    with open(path, "rb") as f:
+        return _read_checkpoint(ByteReader(f, CheckpointError), path)
+
+
+def _read_checkpoint(r: ByteReader, path):
     if r.take(4) != MAGIC:
         raise CheckpointError(f"bad checkpoint magic in {path}")
     (version,) = r.unpack("<I")
@@ -70,14 +73,9 @@ def load_checkpoint(path):
             raise CheckpointError(f"undecodable array name: {exc}") from exc
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
-        raw = r.take(4 * math.prod(shape))
-        try:
-            data = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        except ValueError as exc:  # a zero dim beside dims too large for numpy
-            raise CheckpointError(f"array {name!r} has impossible shape {shape}") from exc
-        arrays.append((name, data))
-    if r.pos != len(r.blob):
-        raise CheckpointError(f"{len(r.blob) - r.pos} trailing bytes in checkpoint")
+        arrays.append((name, r.take_f32(shape)))
+    if r.remaining:
+        raise CheckpointError(f"{r.remaining} trailing bytes in checkpoint")
     return config, arrays
 
 

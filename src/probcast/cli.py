@@ -217,6 +217,10 @@ def cmd_evaluate(args) -> int:
     if args.ensemble:
         manifest, pooled, truth, grid = _load_ensemble_dir(args.ensemble)
         spread = manifest.get("spread")
+        if spread is not None and (type(spread) not in (int, float)
+                                   or not 0 <= spread < np.inf):
+            raise ValueError(f"ensemble spread in {args.ensemble} must be null or a "
+                             f"finite number >= 0, got {spread!r}")
         variable, level = manifest["variable"]
         report = assemble_report(pooled, truth, grid, variable=variable,
                                  level=level, lead_hours=manifest["lead_hours"],

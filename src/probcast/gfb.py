@@ -10,7 +10,9 @@ manifest next to the file.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -62,8 +64,10 @@ def save_dataset(ds: Dataset, path) -> None:
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
         parts.append(struct.pack("<i", _encode_level(level)))
-    parts.append(ds.data.astype("<f4").tobytes())
-    path.write_bytes(b"".join(parts))
+    with open(path, "wb") as f:
+        f.write(b"".join(parts))
+        # The payload goes from the array to the file without a bytes copy.
+        f.write(np.ascontiguousarray(ds.data, dtype="<f4"))
 
     manifest = {
         "format": "GFB1",
@@ -81,20 +85,48 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 class ByteReader:
-    """Bounds-checked cursor over a binary file; a read past its end raises `error`."""
+    """Bounds-checked cursor over a binary stream; a read past its end raises `error`.
 
-    def __init__(self, blob: bytes, error: type[ValueError]):
-        self.blob = blob
+    Each read is checked against the bytes left before anything is allocated,
+    so a corrupt length cannot ask for more memory than the file holds.
+    """
+
+    def __init__(self, stream, error: type[ValueError]):
+        self.stream = stream
         self.error = error
         self.pos = 0
+        self.size = stream.seek(0, io.SEEK_END)
+        stream.seek(0)
+
+    @property
+    def remaining(self) -> int:
+        return self.size - self.pos
+
+    def _check(self, n: int) -> None:
+        if n > self.remaining:
+            raise self.error(f"truncated file: need {n} bytes at offset {self.pos}, "
+                             f"have {self.remaining}")
+
+    def _moved(self, got: int, n: int) -> None:
+        if got != n:
+            raise self.error(f"truncated file: it shrank while reading offset {self.pos}")
+        self.pos += n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise self.error(
-                f"truncated file: need {n} bytes at offset {self.pos}, "
-                f"have {len(self.blob) - self.pos}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
+        self._check(n)
+        out = self.stream.read(n)
+        self._moved(len(out), n)
+        return out
+
+    def take_f32(self, shape: tuple) -> np.ndarray:
+        """The next little-endian f32 values, read straight into a new array of shape."""
+        n = 4 * math.prod(shape)
+        self._check(n)
+        try:
+            out = np.empty(shape, dtype="<f4")
+        except ValueError as exc:  # a zero dim beside dims too large for numpy
+            raise self.error(f"impossible array shape {shape}") from exc
+        self._moved(self.stream.readinto(out), n)
         return out
 
     def unpack(self, fmt: str):
@@ -102,33 +134,31 @@ class ByteReader:
 
 
 def load_dataset(path) -> Dataset:
-    r = ByteReader(Path(path).read_bytes(), GFBDecodeError)
-    if r.take(4) != MAGIC:
-        raise GFBDecodeError(f"bad magic bytes in {path}")
-    n_lat, n_lon, n_time, n_var = r.unpack("<4I")
-    lats = np.frombuffer(r.take(8 * n_lat), dtype="<f8")
-    lons = np.frombuffer(r.take(8 * n_lon), dtype="<f8")
-    epoch_start, step_hours = r.unpack("<qI")
-    variables = []
-    for _ in range(n_var):
-        (name_len,) = r.unpack("<H")
-        try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GFBDecodeError(f"undecodable variable name: {exc}") from exc
-        (level_code,) = r.unpack("<i")
-        variables.append((name, _decode_level(level_code)))
-    payload = np.frombuffer(r.take(4 * n_time * n_var * n_lat * n_lon), dtype="<f4")
-    if r.pos != len(r.blob):
-        raise GFBDecodeError(f"{len(r.blob) - r.pos} trailing bytes after payload")
-    data = payload.reshape(n_time, n_var, n_lat, n_lon)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        t, v, j, k = bad[0]
-        raise GFBDecodeError(
-            f"non-finite value at [time={t} var={v} lat={j} lon={k}]")
+    with open(path, "rb") as f:
+        r = ByteReader(f, GFBDecodeError)
+        if r.take(4) != MAGIC:
+            raise GFBDecodeError(f"bad magic bytes in {path}")
+        n_lat, n_lon, n_time, n_var = r.unpack("<4I")
+        lats = np.frombuffer(r.take(8 * n_lat), dtype="<f8")
+        lons = np.frombuffer(r.take(8 * n_lon), dtype="<f8")
+        epoch_start, step_hours = r.unpack("<qI")
+        variables = []
+        for _ in range(n_var):
+            (name_len,) = r.unpack("<H")
+            try:
+                name = r.take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise GFBDecodeError(f"undecodable variable name: {exc}") from exc
+            (level_code,) = r.unpack("<i")
+            variables.append((name, _decode_level(level_code)))
+        shape = (n_time, n_var, n_lat, n_lon)
+        trailing = r.remaining - 4 * math.prod(shape)
+        if trailing > 0:
+            raise GFBDecodeError(f"{trailing} trailing bytes after payload")
+        data = r.take_f32(shape)
     try:
+        # Dataset refuses non-finite values, naming the first one's index.
         grid = GridSpec(lats.copy(), lons.copy())
-        return Dataset(grid, variables, data.copy(), epoch_start, step_hours)
+        return Dataset(grid, variables, data, epoch_start, step_hours)
     except ValueError as exc:
         raise GFBDecodeError(str(exc)) from exc

@@ -109,7 +109,9 @@ class Dataset:
             raise ValueError("variable list does not match data")
         if step_hours <= 0:
             raise ValueError("step_hours must be positive")
-        if not np.all(np.isfinite(data)):
+        # min and max propagate NaN and reach any infinity, and unlike an
+        # isfinite mask they allocate nothing the size of the data.
+        if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
             bad = np.argwhere(~np.isfinite(data))[0]
             raise ValueError(f"non-finite value at [time={bad[0]} var={bad[1]} "
                              f"lat={bad[2]} lon={bad[3]}]")

@@ -99,15 +99,28 @@ def synth_generate(cfg: SynthConfig, seed: int) -> Dataset:
         for t in range(cfg.n_steps):
             state = rho * state + np.sqrt(1 - rho ** 2) * innov[t]
             coef[t] = state
-        raw = np.tensordot(coef, noise_pats, axes=(1, 0))
-        return 2.0 * np.tanh(raw / 2.0)
+        # One expression, so numpy reuses the temporaries in place.
+        return 2.0 * np.tanh(np.tensordot(coef, noise_pats, axes=(1, 0)) / 2.0)
 
     amp = cfg.amplitude
-    variables = []
-    arrays = []
+    variables = [("z", int(lv)) for lv in cfg.z_levels]
+    variables += [("t", int(lv)) for lv in cfg.t_levels]
+    if cfg.include_solar:
+        variables.append(("solar", SURFACE))
+    if cfg.include_constants:
+        variables += [(name, CONSTANT) for name in ("orography", "land_sea", "latitude")]
+    # Each f64 field is rounded into its f32 channel as soon as it exists, so
+    # set-up holds one copy of the dataset plus a few fields.
+    data = np.empty((cfg.n_steps, len(variables), cfg.n_lat, cfg.n_lon), np.float32)
+    channels = iter(range(len(variables)))
+
+    def nearest_z(level):
+        return min(cfg.z_levels, key=lambda lv: abs(lv - level))
 
     # Geopotential analog: one base dynamics field reused across levels with
-    # level-dependent strength and a westward phase tilt with height.
+    # level-dependent strength and a westward phase tilt with height. Only
+    # the levels a temperature level couples to keep their anomaly.
+    coupled_levels = {nearest_z(level) for level in cfg.t_levels}
     z_anom = {}
     for level in cfg.z_levels:
         height_factor = 1.0 + (1000.0 - level) / 800.0
@@ -118,22 +131,24 @@ def synth_generate(cfg: SynthConfig, seed: int) -> Dataset:
         mean0 = 48000.0 + 18.0 * (1000.0 - level)
         zonal = -2500.0 * (np.sin(phi) ** 2)[None, :, None]
         f = mean0 + zonal + amp * (base + seas + noise)
-        z_anom[level] = f - f.mean(axis=0, keepdims=True)
-        variables.append(("z", int(level)))
-        arrays.append(f)
+        del base, noise
+        data[:, next(channels)] = f
+        if level in coupled_levels:
+            f -= f.mean(axis=0, keepdims=True)
+            z_anom[level] = f
 
     # Temperature analog: coupled to the nearest geopotential level's
     # anomaly (shifted one cell east) plus its own seasonal cycle and noise.
+    # The shifted anomaly stays inside the expression as a temporary.
     for level in cfg.t_levels:
-        nearest = min(cfg.z_levels, key=lambda lv: abs(lv - level))
-        coupled = 0.004 * np.roll(z_anom[nearest], 1, axis=2)
         mean0 = 288.0 - 0.055 * (1000.0 - level)
         lapse = -28.0 * (np.sin(phi) ** 2)[None, :, None]
         seas = 9.0 * season[:, None, None] * merid_season[None, :, None]
         noise = 1.2 * red_noise()
-        f = mean0 + lapse + amp * (coupled + seas + noise)
-        variables.append(("t", int(level)))
-        arrays.append(f)
+        data[:, next(channels)] = mean0 + lapse + amp * (
+            0.004 * np.roll(z_anom[nearest_z(level)], 1, axis=2) + seas + noise)
+        del noise
+    del z_anom
 
     if cfg.include_solar:
         hour_angle = 2 * np.pi * t_idx * cfg.step_hours / 24.0
@@ -141,21 +156,15 @@ def synth_generate(cfg: SynthConfig, seed: int) -> Dataset:
                 * np.cos(lam[None, None, :] - hour_angle[:, None, None]))
         diurnal = np.maximum(0.0, cosz)
         seas = 1.0 + 0.25 * season[:, None, None] * merid_season[None, :, None]
-        f = 1361.0 * (0.1 + 0.9 * amp * diurnal * np.clip(seas, 0.0, 2.0))
-        variables.append(("solar", SURFACE))
-        arrays.append(f)
+        data[:, next(channels)] = 1361.0 * (0.1 + 0.9 * amp * diurnal * np.clip(seas, 0.0, 2.0))
 
     if cfg.include_constants:
         oro_raw = _smooth_patterns(rng, 1, lam, phi)[0]
         orography = 1500.0 * (1.0 + np.tanh(oro_raw))
         land_sea = (orography > np.median(orography)).astype(np.float64)
-        lat_field = np.repeat(grid.latitudes_deg[:, None], cfg.n_lon, axis=1)
-        for name, f2d in (("orography", orography), ("land_sea", land_sea),
-                          ("latitude", lat_field)):
-            variables.append((name, CONSTANT))
-            arrays.append(np.repeat(f2d[None], cfg.n_steps, axis=0))
+        for f2d in (orography, land_sea, grid.latitudes_deg[:, None]):
+            data[:, next(channels)] = f2d
 
-    data = np.stack(arrays, axis=1).astype(np.float32)
     return Dataset(grid, variables, data, cfg.epoch_hours_start, cfg.step_hours)
 
 

@@ -141,13 +141,22 @@ def topk_match(d: DensityGrid, true_bins, k: int) -> float:
 
     Ties prefer the lower bin index (stable sort on descending probability).
     """
-    if not 1 <= k <= d.spec.n_bins:
-        raise ValueError(f"k must be in [1, {d.spec.n_bins}]")
-    bins = np.asarray(true_bins)
+    return _topk_matches(d, true_bins, [k])[k]
+
+
+def _topk_matches(d: DensityGrid, true_bins, ks) -> dict:
+    """{k: topk_match(d, true_bins, k)} for every k, from one check and one sort.
+
+    The first k columns of a stable descending sort are the top-k set for
+    every k, so one sort serves all of them exactly.
+    """
+    for k in ks:
+        if not 1 <= k <= d.spec.n_bins:
+            raise ValueError(f"k must be in [1, {d.spec.n_bins}]")
     p = d.validate().reshape(-1, d.spec.n_bins)
-    top = np.argsort(-p, axis=1, kind="stable")[:, :k]
-    match = (top == bins.reshape(-1, 1)).any(axis=1)
-    return float(100.0 * match.mean())
+    top = np.argsort(-p, axis=1, kind="stable")[:, :max(ks)]
+    hit = top == np.asarray(true_bins).reshape(-1, 1)
+    return {k: float(100.0 * hit[:, :k].any(axis=1).mean()) for k in ks}
 
 
 @dataclass
@@ -285,7 +294,7 @@ def assemble_report(d: DensityGrid, truth, grid: GridSpec, *, variable: str,
         weighted_rmse=rmse, weighted_mse=mse, mse_ci_lo=lo, mse_ci_hi=hi,
         mean_crps=mean_crps(d, truth),
         coverage=coverage_stats(d, truth),
-        topk={k: topk_match(d, true_bins, k) for k in range(1, 6)},
+        topk=_topk_matches(d, true_bins, range(1, 6)),
         spread=spread,
         spread_skill=(None if spread is None or rmse <= 0
                       else spread / rmse),

@@ -167,6 +167,21 @@ class TestPipeline:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spread", [-50.0, float("nan"), float("inf"), "1.0", True],
+                             ids=["negative", "nan", "inf", "string", "bool"])
+    def test_evaluate_refuses_bad_manifest_spread(self, pipeline, spread, tmp_path,
+                                                  capsys):
+        root, _ = pipeline
+        shutil.copytree(root / "m1_test", tmp_path / "m1_test")
+        path = tmp_path / "m1_test" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["spread"] = spread
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "eval"
+        assert run("evaluate", "--ensemble", tmp_path / "m1_test", "--out", out) == 1
+        assert "ensemble spread" in capsys.readouterr().err.partition("error: ")[2]
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [lambda b: b.pop("v_min"),
                                       lambda b: b.update(width=1.0),
                                       lambda b: b.update(v_max="x")],

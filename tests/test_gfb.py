@@ -1,11 +1,13 @@
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probcast.gfb import GFBDecodeError, load_dataset, save_dataset
+from probcast.gfb import ByteReader, GFBDecodeError, load_dataset, save_dataset
 from probcast.grid import CONSTANT, SURFACE, Dataset, GridSpec
 
 
@@ -28,6 +30,50 @@ def test_round_trip_is_exact(tmp_path):
     assert back.variables == ds.variables
     assert back.epoch_hours_start == ds.epoch_hours_start
     assert back.step_hours == ds.step_hours
+
+
+def test_loaded_data_owns_aligned_writeable_memory(tmp_path):
+    path = tmp_path / "toy.gfb"
+    save_dataset(make_dataset(), path)
+    flags = load_dataset(path).data.flags
+    assert flags.c_contiguous and flags.aligned and flags.writeable and flags.owndata
+
+
+def test_load_peak_memory_is_about_the_payload(tmp_path):
+    ds = make_dataset()
+    ds = Dataset(ds.grid, ds.variables, np.tile(ds.data, (400, 1, 1, 1)),
+                 ds.epoch_hours_start, ds.step_hours)
+    path = tmp_path / "toy.gfb"
+    save_dataset(ds, path)
+    del ds
+    # tracemalloc counts numpy's buffers exactly, so the bound is deterministic.
+    tracemalloc.start()
+    try:
+        back = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * back.data.nbytes
+
+
+def test_round_trip_of_empty_and_non_contiguous_data(tmp_path):
+    grid = GridSpec.regular(3, 4)
+    variables = [("z", 500), ("t", 850)]
+    strided = np.arange(2 * 4 * 3 * 4, dtype=np.float32).reshape(2, 4, 3, 4)[:, ::2]
+    for data in (np.empty((0, 2, 3, 4), np.float32), strided):
+        path = tmp_path / "toy.gfb"
+        save_dataset(Dataset(grid, variables, data, 0, 6), path)
+        np.testing.assert_array_equal(load_dataset(path).data, data)
+
+
+def test_reader_refuses_a_file_that_shrinks_while_read():
+    class Shrunk(io.BytesIO):
+        def seek(self, pos, whence=io.SEEK_SET):  # claims 4 bytes it does not have
+            return super().seek(pos, whence) + (4 if whence == io.SEEK_END else 0)
+
+    r = ByteReader(Shrunk(b"\x00" * 8), GFBDecodeError)
+    with pytest.raises(GFBDecodeError, match="shrank"):
+        r.take_f32((3,))
 
 
 def test_save_emits_manifest(tmp_path):

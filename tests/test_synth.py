@@ -1,9 +1,56 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from probcast.gfb import save_dataset
 from probcast.synth import (SynthConfig, synth_generate, with_leaked_variable,
                             with_noise_variable)
+
+
+# sha256 of the generated f32 data, recorded before synth wrote straight into
+# its output array; any later refactor of the generator must keep them.
+PINNED_DATA = {
+    "cli_default": (SynthConfig(n_lat=16, n_lon=32, n_steps=2000), 1,
+                    "268b40e0cfc15696a456be3234856e6df6b71bff71f4812312fb429a8b1c8f41"),
+    # t300 couples to z200 and t850 to z850, so z500 keeps no anomaly.
+    "no_solar": (SynthConfig(n_lat=8, n_lon=16, n_steps=300, include_solar=False,
+                             t_levels=(300, 850)), 2,
+                 "37a773f2b004d986a603d937aede2e2ffc7bfd83ccef79a32eb9451be4c0a6a9"),
+    "no_constants_no_t": (SynthConfig(n_lat=8, n_lon=16, n_steps=300,
+                                      include_constants=False, t_levels=()), 3,
+                          "0f69001f14125909ba0ef66d2d559c5e331cd18e15ec0a9c7c33531b0c1fa5e0"),
+}
+# The .gfb file `probcast synth --seed 1` writes with its default flags.
+PINNED_CLI_DEFAULT_GFB = "02457403053d790e9df2129748a18b6b8c6b3b328dc80093ec5670b9e88128e4"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DATA))
+def test_data_matches_pinned_digest(name):
+    cfg, seed, digest = PINNED_DATA[name]
+    ds = synth_generate(cfg, seed)
+    assert ds.data.dtype == np.float32 and ds.data.flags.c_contiguous
+    assert hashlib.sha256(ds.data.tobytes()).hexdigest() == digest
+
+
+def test_cli_default_file_matches_pinned_digest(tmp_path):
+    cfg, seed, _ = PINNED_DATA["cli_default"]
+    path = tmp_path / "toy.gfb"
+    save_dataset(synth_generate(cfg, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CLI_DEFAULT_GFB
+
+
+def test_peak_memory_is_a_few_dataset_copies():
+    # tracemalloc counts numpy's buffers exactly, so the bound is deterministic.
+    cfg, seed, _ = PINNED_DATA["cli_default"]
+    tracemalloc.start()
+    try:
+        ds = synth_generate(cfg, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * ds.data.nbytes
 
 
 def test_same_seed_bit_identical():

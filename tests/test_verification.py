@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from probcast.binning import BinSpec, DensityGrid, density_stddev, expectation
+from probcast.binning import (BinSpec, DensityGrid, density_stddev, discretize,
+                              expectation)
 from probcast.grid import GridSpec
 from probcast.verification import (REFERENCE_COVERAGE, REFERENCE_CRPS,
                                    REFERENCE_RMSE, ScoreReport, assemble_report,
@@ -262,6 +263,19 @@ class TestTopK:
         d = DensityGrid(p, spec)
         assert topk_match(d, np.array([0]), 1) == 100.0
         assert topk_match(d, np.array([1]), 1) == 0.0
+
+    def test_report_matches_per_k_on_tie_heavy_density(self):
+        # probabilities in tenths, so most rows hold several exact ties
+        rng = np.random.default_rng(18)
+        spec = BinSpec(0.0, 10.0, 10)
+        counts = rng.multinomial(10, np.full(10, 0.1), size=(3, 4, 6))
+        d = DensityGrid(counts / 10.0, spec)
+        truth = rng.uniform(0, 10, size=(3, 4, 6))
+        report = assemble_report(d, truth, GridSpec.regular(4, 6), variable="z",
+                                 level=500, lead_hours=72, split="test")
+        bins = discretize(truth, spec).bins
+        assert report.topk == {k: topk_match(d, bins, k) for k in range(1, 6)}
+        assert len(set(report.topk.values())) > 1
 
     def test_k_out_of_range(self):
         spec = BinSpec(0.0, 4.0, 4)
