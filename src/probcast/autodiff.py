@@ -2,8 +2,12 @@
 
 Deliberately minimal: exactly the operations the forecast network needs.
 A Tensor wraps an ndarray and records its parents plus a vector-Jacobian
-closure; backward() walks the graph once in reverse topological order and
-then frees it, so a second backward on the same graph raises.
+closure; backward() walks the graph once in reverse topological order. As it
+goes, each interior tensor (one made by an op) drops its gradient, its
+closure and its links to its parents once its vjp has run, so a spent
+gradient and the forward arrays only that tensor held are released during
+the pass. Only leaves (parameters and inputs) keep .grad, and a second
+backward on the same graph raises.
 """
 
 from __future__ import annotations
@@ -43,7 +47,11 @@ class Tensor:
                f"requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable leaf's .grad.
+
+        Interior tensors end with grad None and no parents: each drops both
+        as soon as its vjp has passed the gradient on.
+        """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar loss")
         if self._consumed:
@@ -66,19 +74,32 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._vjp is not None and node.grad is not None:
-                for parent, g in zip(node._parents, node._vjp(node.grad)):
-                    if g is None or not parent.requires_grad:
-                        continue
-                    if g.dtype != parent.data.dtype:
-                        g = g.astype(parent.data.dtype)
-                    if parent.grad is None:
-                        parent.grad = g
-                    else:
-                        parent.grad = parent.grad + g
-            node._vjp = None
+        while topo:  # popped, so a spent node is freed unless the caller holds it
+            node = topo.pop()
+            if node._vjp is not None:
+                if node.grad is not None:
+                    _accumulate(node._parents, node._vjp(node.grad))
+                node.grad = None
+                node._parents = ()
+                node._vjp = None
             node._consumed = True
+
+
+def _accumulate(parents, grads):
+    """Add each vjp output into its parent's .grad (a new array, never in place).
+
+    A function of its own, so no spent gradient outlives the call in a loop
+    variable while the next vjp runs.
+    """
+    for parent, g in zip(parents, grads):
+        if g is None or not parent.requires_grad:
+            continue
+        if g.dtype != parent.data.dtype:
+            g = g.astype(parent.data.dtype)
+        if parent.grad is None:
+            parent.grad = g
+        else:
+            parent.grad = parent.grad + g
 
 
 def _as_const(x) -> np.ndarray:
@@ -173,25 +194,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     # copied into one reused buffer, so no (B, C*k*k, H*W) tensor is built or
     # kept in the graph; the backward forms dw and dx from the same samples.
     # Per sample, every matmul, einsum and col2im makes the same BLAS call and
-    # the same float adds, in the same order, as their batched forms.
-    xpad = _pad_periodic(x.data, p)
-    win = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(2, 3))
-    win = win.transpose(0, 1, 4, 5, 2, 3)  # (B, C, k, k, H, W), a strided view
-    w2 = w.data.reshape(C_out, C * k * k)
-
-    def sample_columns():
+    # the same float adds, in the same order, as their batched forms. The
+    # padded input is not kept either: the backward pads x.data again.
+    def sample_columns(xpad):
+        win = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(2, 3))
+        win = win.transpose(0, 1, 4, 5, 2, 3)  # (B, C, k, k, H, W), a strided view
         buf = np.empty((C * k * k, H * W), dtype=xpad.dtype)
         buf6 = buf.reshape(C, k, k, H, W)
         for i in range(B):
             np.copyto(buf6, win[i])
             yield i, buf
 
+    w2 = w.data.reshape(C_out, C * k * k)
+    xpad = _pad_periodic(x.data, p)
     out = np.empty((B, C_out, H * W), dtype=np.result_type(w2, xpad))
-    for i, cols in sample_columns():
+    for i, cols in sample_columns(xpad):
         np.matmul(w2, cols, out=out[i])
     out = (out + b.data[:, None]).reshape(B, C_out, H, W)
 
     def vjp(g):
+        xpad = _pad_periodic(x.data, p)
         gflat = g.reshape(B, C_out, H * W)
         dw = np.zeros((C_out, C * k * k), dtype=np.result_type(gflat, xpad))
         dx = np.empty(x.data.shape, dtype=xpad.dtype) if x.requires_grad else None
@@ -199,7 +221,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         dxpad = np.empty(xpad.shape[1:], dtype=xpad.dtype)
         col2im = [(dxpad[:, di:di + H, dj:dj + W], d6[:, di, dj])  # views, sliced once per call
                   for di in range(k) for dj in range(k)]
-        for i, cols in sample_columns():
+        for i, cols in sample_columns(xpad):
             dw += np.einsum("ij,kj->ik", gflat[i], cols)
             if dx is not None:
                 np.matmul(w2.T, gflat[i], out=d6.reshape(C * k * k, H * W))

@@ -33,7 +33,10 @@ class EnsembleSet:
 
     def member_expectations(self) -> np.ndarray:
         """Expected-value fields per member, shape (n_members, N, H, W)."""
-        return np.stack([expectation(m) for m in self.members])
+        exps = np.empty((self.n_members,) + self.members[0].probs.shape[:-1])
+        for e, m in zip(exps, self.members):
+            e[...] = expectation(m)
+        return exps
 
 
 def generate_ensemble(model: ResNet, x_raw: np.ndarray, n_members: int = 32,
@@ -85,7 +88,16 @@ def ensemble_spread(ens: EnsembleSet, grid: GridSpec):
     if ens.n_members < 2:
         raise ValueError("spread needs at least 2 members")
     exps = ens.member_expectations()            # (n, N, H, W)
-    var = exps.var(axis=0)                      # (N, H, W), population (ddof 0)
+    # population variance (ddof 0) with np.var's two sums, bit for bit, but
+    # one member at a time instead of through an (n, N, H, W) deviation array
+    n = ens.n_members
+    mean = exps.sum(axis=0) / n
+    var = np.zeros_like(mean)                   # (N, H, W)
+    for e in exps:
+        d = e - mean
+        d *= d
+        var += d
+    var /= n
     spread_field = np.sqrt(var)
     w = latitude_weights(grid)
     if var.shape[-2] != w.size:

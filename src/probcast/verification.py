@@ -92,7 +92,7 @@ def crps(d: DensityGrid, obs) -> np.ndarray:
     out = np.empty(flat_y.size)
     seg_a = x[:-1]
     width = d.spec.width
-    chunk = max(1, 2 ** 22 // max(n, 1))
+    chunk = max(1, 2 ** 18 // max(n, 1))  # 2 MB of f64 per (chunk, n) temporary
     for i in range(0, flat_y.size, chunk):
         pc = flat_p[i:i + chunk]
         yc = flat_y[i:i + chunk]

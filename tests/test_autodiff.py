@@ -64,6 +64,51 @@ class TestBackwardBasics:
         assert x.grad[0] == pytest.approx(8.0)
 
 
+class TestBackwardReleasesGraph:
+    """backward drops each interior gradient and link once it is spent."""
+
+    def test_interior_tensors_end_without_grad_or_parents(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(away_from_kink(rng, (3, 4)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 4)))
+        sq = ad.square(x)
+        shifted = ad.add(sq, c)
+        act = ad.leaky_relu(shifted)
+        loss = ad.tensor_sum(act)
+        loss.backward()
+        for t in (sq, shifted, act, loss):
+            assert t.grad is None
+            assert t._parents == ()
+        slope = np.where(x.data ** 2 + c.data >= 0, 1.0, 0.3)
+        np.testing.assert_array_equal(x.grad, slope * (2.0 * x.data))
+        assert c.grad is None
+
+    def test_elementwise_chain_backward_holds_a_frontier(self):
+        """Eight rectifiers over an 8 MB array: the backward peaks near two
+        gradients, not nine, and leaves only the leaf's gradient behind."""
+        x = Tensor(np.random.default_rng(3).normal(size=1 << 20), requires_grad=True)
+        nbytes = x.data.nbytes
+        tracemalloc.start()
+        try:
+            h = x
+            for _ in range(8):
+                h = ad.leaky_relu(h)
+            loss = ad.tensor_sum(h)
+            del h
+            graph, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss.backward()
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - graph < 4 * nbytes, f"backward peak +{(peak - graph) / 1e6:.1f} MB"
+        assert left < 2 * nbytes, f"{left / 1e6:.1f} MB left after backward"
+        neg = 1.0
+        for _ in range(8):
+            neg = 0.3 * neg  # the vjps' product order
+        np.testing.assert_array_equal(x.grad, np.where(x.data >= 0, 1.0, neg))
+
+
 class TestLeakyRelu:
     def test_positive_passthrough(self):
         y = ad.leaky_relu(Tensor(np.array([2.0])))
@@ -435,6 +480,24 @@ def test_conv2d_keeps_no_column_tensor():
     backward_peak = traced_peak(loss().backward)
     assert x.grad is not None
     assert backward_peak < column_bytes / 2, f"traced backward peak {backward_peak / 1e6:.1f} MB"
+
+
+def test_conv2d_graph_holds_no_padded_input():
+    """After the forward, the graph holds the output but no padded copy of x."""
+    B, C, H, W, k = 4, 16, 32, 64, 5
+    p = k // 2
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(B, C, H, W)), requires_grad=True)
+    w = Tensor(rng.normal(size=(1, C, k, k)), requires_grad=True)
+    b = Tensor(np.zeros(1), requires_grad=True)
+    pad_bytes = B * C * (H + 2 * p) * (W + 2 * p) * 8  # 1.25 MB
+    tracemalloc.start()
+    try:
+        y = ad.conv2d(x, w, b)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < y.data.nbytes + pad_bytes / 2, f"graph holds {held / 1e6:.2f} MB"
 
 
 class TestNormLayers:

@@ -3,7 +3,7 @@ import pytest
 
 from probcast.binning import BinSpec, DensityGrid, expectation
 from probcast.ensemble import EnsembleSet, ensemble_spread, generate_ensemble, linear_pool
-from probcast.grid import GridSpec, SplitPlan
+from probcast.grid import GridSpec, SplitPlan, latitude_weights
 from probcast.resnet import ResNet, ResNetConfig, TrainingSchedule, build_samples, train
 from probcast.synth import SynthConfig, synth_generate
 
@@ -229,6 +229,21 @@ class TestSpread:
                     assert abs(field[t, j, k] - np.sqrt(var)) < 1e-10
                     total += w[j] * var
         assert scalar == pytest.approx(np.sqrt(total / 24), rel=1e-10)
+
+    def test_matches_stack_and_var_forms_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        members = random_members(rng, 32, (6, 16, 32), 10)
+        ens = EnsembleSet(members, list(range(32)))
+        grid = GridSpec.regular(16, 32)
+        stacked = np.stack([expectation(m) for m in members])
+        exps = ens.member_expectations()
+        assert exps.dtype == stacked.dtype
+        assert np.array_equal(exps, stacked)
+        field, scalar = ensemble_spread(ens, grid)
+        var = stacked.var(axis=0)
+        w = latitude_weights(grid)
+        assert np.array_equal(field, np.sqrt(var))
+        assert scalar == float(np.sqrt(np.mean(var * w[:, None], dtype=np.float64)))
 
     def test_spread_invariant_under_member_reordering(self):
         rng = np.random.default_rng(8)

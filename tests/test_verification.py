@@ -152,6 +152,16 @@ class TestCrps:
             oracle = riemann_crps(p, spec, y)
             assert abs(got - oracle) <= 1e-6 * abs(oracle)
 
+    def test_chunked_rows_match_per_slice_values(self):
+        """A 100-bin density of 6912 rows spans three chunks; each time slice
+        fits in one, and the chunked result is their concatenation, bit for bit."""
+        rng = np.random.default_rng(11)
+        d = random_density(rng, (6, 24, 48), 100)
+        y = rng.uniform(-2.0, 12.0, size=(6, 24, 48))
+        whole = crps(d, y)
+        parts = [crps(DensityGrid(d.probs[t], d.spec), y[t]) for t in range(6)]
+        assert np.array_equal(whole, np.stack(parts))
+
     def test_crps_non_negative(self):
         rng = np.random.default_rng(6)
         d = random_density(rng, (50,), 15)
