@@ -11,7 +11,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -291,10 +291,7 @@ def cmd_explore(args) -> int:
         if not candidate:
             continue
         extra = _parse_varlist(candidate.replace("+", ","))
-        cspec = exploration.ExperimentSpec(
-            name=candidate, base_inputs=base, extra_inputs=extra, target=target,
-            lead_hours=args.lead_hours, n_blocks=args.blocks, n_bins=args.bins,
-            n_members=args.members, seed=args.seed)
+        cspec = replace(spec, name=candidate, extra_inputs=extra)
         rows.append(exploration.run_candidate(cspec, bench_mse, ds, splits, sched))
         specs.append(asdict(cspec))
     report = exploration.build_report(bench_mse, rows)

@@ -168,9 +168,9 @@ def contours_to_csv(contours: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def contours_to_svg(contours: dict, grid: GridSpec, width: int = 720,
-                    height: int = 360) -> str:
+def contours_to_svg(contours: dict, grid: GridSpec) -> str:
     """Minimal equirectangular SVG overlay of the contour polylines."""
+    width, height = 720, 360  # two pixels per degree
     palette = ["#1f77b4", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',

@@ -125,11 +125,6 @@ class Dataset:
     def n_time(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def times(self) -> np.ndarray:
-        """Timestamps in hours since epoch."""
-        return self.epoch_hours_start + self.step_hours * np.arange(self.n_time, dtype=np.int64)
-
     def var_index(self, variable: str, level) -> int:
         key = (str(variable), level)
         try:

@@ -50,14 +50,14 @@ class Dense:
 class BatchNorm2d:
     """Per-channel normalization with running statistics for inference."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                 dtype=np.float32):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, channels: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if training:
@@ -88,15 +88,15 @@ class BatchNorm2d:
 
 
 class Adam:
-    """Bias-corrected Adam (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Bias-corrected Adam."""
 
-    def __init__(self, params: list, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list, learning_rate: float):
         self.params = list(params)  # (name, Tensor) pairs
         self.learning_rate = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(t.data) for _, t in self.params]
         self.v = [np.zeros_like(t.data) for _, t in self.params]

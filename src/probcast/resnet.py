@@ -61,21 +61,15 @@ class ResNetConfig:
 @dataclass
 class TrainingSchedule:
     initial_lr: float = 5e-5
-    lr_reduce_factor: float = 5.0
-    lr_patience_epochs: int = 2
     stop_patience_epochs: int = 5
     max_epochs: int = 100
     batch_size: int = 32
-    min_improvement: float = 1e-6
 
     def __post_init__(self):
-        if self.lr_patience_epochs < 1 or self.stop_patience_epochs < 1:
-            raise ValueError("patience must be at least 1 epoch")
-        if not (0.0 < self.initial_lr < np.inf and 1.0 < self.lr_reduce_factor < np.inf):
-            raise ValueError("need a positive, finite learning rate and a finite "
-                             "reduce factor above 1")
-        if not 0.0 <= self.min_improvement < np.inf:
-            raise ValueError("min_improvement must be finite and non-negative")
+        if self.stop_patience_epochs < 1:
+            raise ValueError("stop patience must be at least 1 epoch")
+        if not 0.0 < self.initial_lr < np.inf:
+            raise ValueError("need a positive, finite learning rate")
         if self.batch_size < 1 or self.max_epochs < 0:
             raise ValueError("need batch_size >= 1 and max_epochs >= 0")
 
@@ -84,11 +78,15 @@ class PlateauSchedule:
     """Reduce-on-plateau with early stop.
 
     An epoch counts as stagnant when the validation loss fails to beat the
-    best seen by min_improvement. After lr_patience stagnant epochs the
-    learning rate is divided by the factor (and the plateau counter resets);
-    after stop_patience stagnant epochs training stops. Both counters reset
-    on improvement.
+    best seen by min_improvement. After lr_patience_epochs stagnant epochs
+    the learning rate is divided by lr_reduce_factor (and the plateau counter
+    resets); after the schedule's stop_patience_epochs stagnant epochs
+    training stops. Both counters reset on improvement.
     """
+
+    lr_reduce_factor = 5.0
+    lr_patience_epochs = 2
+    min_improvement = 1e-6
 
     def __init__(self, sched: TrainingSchedule):
         self.sched = sched
@@ -98,8 +96,7 @@ class PlateauSchedule:
         self._stop_wait = 0
 
     def update(self, val_loss: float) -> dict:
-        s = self.sched
-        if val_loss < self.best - s.min_improvement:
+        if val_loss < self.best - self.min_improvement:
             self.best = val_loss
             self._plateau_wait = 0
             self._stop_wait = 0
@@ -107,11 +104,11 @@ class PlateauSchedule:
         self._plateau_wait += 1
         self._stop_wait += 1
         reduced = False
-        if self._plateau_wait >= s.lr_patience_epochs:
-            self.lr /= s.lr_reduce_factor
+        if self._plateau_wait >= self.lr_patience_epochs:
+            self.lr /= self.lr_reduce_factor
             self._plateau_wait = 0
             reduced = True
-        stop = self._stop_wait >= s.stop_patience_epochs
+        stop = self._stop_wait >= self.sched.stop_patience_epochs
         return {"improved": False, "reduced": reduced, "stop": stop}
 
 

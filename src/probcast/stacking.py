@@ -21,6 +21,9 @@ from .resnet import TrainingSchedule, fit
 
 logger = logging.getLogger(__name__)
 
+# Rows per forward pass in StackModel.predict_probs; bounds its activations.
+PREDICT_ROWS = 65536
+
 
 @dataclass
 class LearnerOutput:
@@ -107,13 +110,13 @@ class StackModel:
             x = ad.leaky_relu(layer(x), 0.0)  # plain rectifier
         return self.layers[-1](x)
 
-    def predict_probs(self, feats: np.ndarray, batch_size: int = 65536) -> np.ndarray:
+    def predict_probs(self, feats: np.ndarray) -> np.ndarray:
         """Row densities (M, n_bins) in f64."""
         feats = np.asarray(feats)
         out = np.empty((feats.shape[0], self.cfg.n_bins))
-        for i in range(0, feats.shape[0], batch_size):
-            dst = out[i:i + batch_size]
-            dst[...] = self.forward(feats[i:i + batch_size]).data
+        for i in range(0, feats.shape[0], PREDICT_ROWS):
+            dst = out[i:i + PREDICT_ROWS]
+            dst[...] = self.forward(feats[i:i + PREDICT_ROWS]).data
             ad.softmax_array(dst, 1, out=dst)
         return out
 

@@ -16,26 +16,32 @@ import numpy as np
 from .grid import CONSTANT, SURFACE, Dataset, GridSpec
 
 
+# The variable layout stands in for the WeatherBench/ERA5 set: geopotential
+# at three levels, temperature at two, top-of-atmosphere solar radiation and
+# three constant fields. Every temperature level is also a geopotential level.
+Z_LEVELS = (200, 500, 850)
+T_LEVELS = (500, 850)
+CONSTANT_FIELDS = ("orography", "land_sea", "latitude")
+VARIABLES = (tuple(("z", lv) for lv in Z_LEVELS) + tuple(("t", lv) for lv in T_LEVELS)
+             + (("solar", SURFACE),) + tuple((name, CONSTANT) for name in CONSTANT_FIELDS))
+EPOCH_HOURS_START = 0
+# Eastward drift of the wave modes, in longitude cells per step.
+ADVECT_CELLS_PER_STEP = 0.4
+SEASON_PERIOD_STEPS = 1460
+NOISE_FRACTION = 0.12
+N_MODES = 4
+N_NOISE_PATTERNS = 6
+NOISE_RHO = 0.97
+
+
 @dataclass
 class SynthConfig:
     n_lat: int = 32
     n_lon: int = 64
     n_steps: int = 2000
     step_hours: int = 6
-    epoch_hours_start: int = 0
-    z_levels: tuple = (200, 500, 850)
-    t_levels: tuple = (500, 850)
-    include_solar: bool = True
-    include_constants: bool = True
     # Overall scale of everything time-varying; 0 freezes the atmosphere.
     amplitude: float = 1.0
-    # Eastward drift of the wave modes, in longitude cells per step.
-    advect_cells_per_step: float = 0.4
-    season_period_steps: int = 1460
-    noise_fraction: float = 0.12
-    n_modes: int = 4
-    n_noise_patterns: int = 6
-    noise_rho: float = 0.97
 
 
 def _smooth_patterns(rng, n_patterns, lam, phi):
@@ -68,16 +74,16 @@ def synth_generate(cfg: SynthConfig, seed: int) -> Dataset:
 
     # Wave modes shared by every variable/level: zonal wavenumber m, a
     # bounded meridional structure, and a common eastward phase speed.
-    wavenums = 1 + np.arange(cfg.n_modes)
-    mode_phase0 = rng.uniform(0, 2 * np.pi, size=cfg.n_modes)
-    mode_merid_phase = rng.uniform(0, 2 * np.pi, size=cfg.n_modes)
+    wavenums = 1 + np.arange(N_MODES)
+    mode_phase0 = rng.uniform(0, 2 * np.pi, size=N_MODES)
+    mode_merid_phase = rng.uniform(0, 2 * np.pi, size=N_MODES)
     mode_amp = 1.0 / np.sqrt(wavenums)  # larger scales carry more energy
-    omega = wavenums * cfg.advect_cells_per_step * 2 * np.pi / cfg.n_lon  # rad/step
+    omega = wavenums * ADVECT_CELLS_PER_STEP * 2 * np.pi / cfg.n_lon  # rad/step
 
     def mode_sum(level_phase):
         # (time, lat, lon) superposition of the advected modes
         out = np.zeros((cfg.n_steps, cfg.n_lat, cfg.n_lon))
-        for m in range(cfg.n_modes):
+        for m in range(N_MODES):
             merid = np.cos(phi) * np.cos(wavenums[m] * phi + mode_merid_phase[m])
             phase = (wavenums[m] * lam[None, None, :]
                      - omega[m] * t_idx[:, None, None]
@@ -85,87 +91,74 @@ def synth_generate(cfg: SynthConfig, seed: int) -> Dataset:
             out += mode_amp[m] * merid[None, :, None] * np.cos(phase)
         return out
 
-    season = np.sin(2 * np.pi * t_idx / cfg.season_period_steps)
+    season = np.sin(2 * np.pi * t_idx / SEASON_PERIOD_STEPS)
     merid_season = np.sin(phi)
 
-    noise_pats = _smooth_patterns(rng, cfg.n_noise_patterns, lam, phi)
+    noise_pats = _smooth_patterns(rng, N_NOISE_PATTERNS, lam, phi)
 
     def red_noise():
         # AR(1) coefficients over fixed smooth patterns, tanh-bounded.
-        state = rng.standard_normal(cfg.n_noise_patterns)
-        innov = rng.standard_normal((cfg.n_steps, cfg.n_noise_patterns))
-        coef = np.empty((cfg.n_steps, cfg.n_noise_patterns))
-        rho = cfg.noise_rho
+        state = rng.standard_normal(N_NOISE_PATTERNS)
+        innov = rng.standard_normal((cfg.n_steps, N_NOISE_PATTERNS))
+        coef = np.empty((cfg.n_steps, N_NOISE_PATTERNS))
         for t in range(cfg.n_steps):
-            state = rho * state + np.sqrt(1 - rho ** 2) * innov[t]
+            state = NOISE_RHO * state + np.sqrt(1 - NOISE_RHO ** 2) * innov[t]
             coef[t] = state
         # One expression, so numpy reuses the temporaries in place.
         return 2.0 * np.tanh(np.tensordot(coef, noise_pats, axes=(1, 0)) / 2.0)
 
     amp = cfg.amplitude
-    variables = [("z", int(lv)) for lv in cfg.z_levels]
-    variables += [("t", int(lv)) for lv in cfg.t_levels]
-    if cfg.include_solar:
-        variables.append(("solar", SURFACE))
-    if cfg.include_constants:
-        variables += [(name, CONSTANT) for name in ("orography", "land_sea", "latitude")]
     # Each f64 field is rounded into its f32 channel as soon as it exists, so
     # set-up holds one copy of the dataset plus a few fields.
-    data = np.empty((cfg.n_steps, len(variables), cfg.n_lat, cfg.n_lon), np.float32)
-    channels = iter(range(len(variables)))
-
-    def nearest_z(level):
-        return min(cfg.z_levels, key=lambda lv: abs(lv - level))
+    data = np.empty((cfg.n_steps, len(VARIABLES), cfg.n_lat, cfg.n_lon), np.float32)
+    channels = iter(range(len(VARIABLES)))
 
     # Geopotential analog: one base dynamics field reused across levels with
     # level-dependent strength and a westward phase tilt with height. Only
     # the levels a temperature level couples to keep their anomaly.
-    coupled_levels = {nearest_z(level) for level in cfg.t_levels}
     z_anom = {}
-    for level in cfg.z_levels:
+    for level in Z_LEVELS:
         height_factor = 1.0 + (1000.0 - level) / 800.0
         level_phase = 0.4 * np.log(1000.0 / level)
         base = 900.0 * height_factor * mode_sum(level_phase)
         seas = 350.0 * height_factor * season[:, None, None] * merid_season[None, :, None]
-        noise = cfg.noise_fraction * 900.0 * height_factor * red_noise()
+        noise = NOISE_FRACTION * 900.0 * height_factor * red_noise()
         mean0 = 48000.0 + 18.0 * (1000.0 - level)
         zonal = -2500.0 * (np.sin(phi) ** 2)[None, :, None]
         f = mean0 + zonal + amp * (base + seas + noise)
         del base, noise
         data[:, next(channels)] = f
-        if level in coupled_levels:
+        if level in T_LEVELS:
             f -= f.mean(axis=0, keepdims=True)
             z_anom[level] = f
 
-    # Temperature analog: coupled to the nearest geopotential level's
-    # anomaly (shifted one cell east) plus its own seasonal cycle and noise.
+    # Temperature analog: coupled to the geopotential anomaly at its level
+    # (shifted one cell east) plus its own seasonal cycle and noise.
     # The shifted anomaly stays inside the expression as a temporary.
-    for level in cfg.t_levels:
+    for level in T_LEVELS:
         mean0 = 288.0 - 0.055 * (1000.0 - level)
         lapse = -28.0 * (np.sin(phi) ** 2)[None, :, None]
         seas = 9.0 * season[:, None, None] * merid_season[None, :, None]
         noise = 1.2 * red_noise()
         data[:, next(channels)] = mean0 + lapse + amp * (
-            0.004 * np.roll(z_anom[nearest_z(level)], 1, axis=2) + seas + noise)
+            0.004 * np.roll(z_anom[level], 1, axis=2) + seas + noise)
         del noise
     del z_anom
 
-    if cfg.include_solar:
-        hour_angle = 2 * np.pi * t_idx * cfg.step_hours / 24.0
-        cosz = (np.cos(phi)[None, :, None]
-                * np.cos(lam[None, None, :] - hour_angle[:, None, None]))
-        diurnal = np.maximum(0.0, cosz)
-        seas = 1.0 + 0.25 * season[:, None, None] * merid_season[None, :, None]
-        data[:, next(channels)] = 1361.0 * (0.1 + 0.9 * amp * diurnal * np.clip(seas, 0.0, 2.0))
+    hour_angle = 2 * np.pi * t_idx * cfg.step_hours / 24.0
+    cosz = (np.cos(phi)[None, :, None]
+            * np.cos(lam[None, None, :] - hour_angle[:, None, None]))
+    diurnal = np.maximum(0.0, cosz)
+    seas = 1.0 + 0.25 * season[:, None, None] * merid_season[None, :, None]
+    data[:, next(channels)] = 1361.0 * (0.1 + 0.9 * amp * diurnal * np.clip(seas, 0.0, 2.0))
 
-    if cfg.include_constants:
-        oro_raw = _smooth_patterns(rng, 1, lam, phi)[0]
-        orography = 1500.0 * (1.0 + np.tanh(oro_raw))
-        land_sea = (orography > np.median(orography)).astype(np.float64)
-        for f2d in (orography, land_sea, grid.latitudes_deg[:, None]):
-            data[:, next(channels)] = f2d
+    oro_raw = _smooth_patterns(rng, 1, lam, phi)[0]
+    orography = 1500.0 * (1.0 + np.tanh(oro_raw))
+    land_sea = (orography > np.median(orography)).astype(np.float64)
+    for f2d in (orography, land_sea, grid.latitudes_deg[:, None]):
+        data[:, next(channels)] = f2d
 
-    return Dataset(grid, variables, data, cfg.epoch_hours_start, cfg.step_hours)
+    return Dataset(grid, VARIABLES, data, EPOCH_HOURS_START, cfg.step_hours)
 
 
 def with_leaked_variable(ds: Dataset, variable: str, level, lead_steps: int,

@@ -14,13 +14,6 @@ from probcast.synth import (SynthConfig, synth_generate, with_leaked_variable,
 PINNED_DATA = {
     "cli_default": (SynthConfig(n_lat=16, n_lon=32, n_steps=2000), 1,
                     "268b40e0cfc15696a456be3234856e6df6b71bff71f4812312fb429a8b1c8f41"),
-    # t300 couples to z200 and t850 to z850, so z500 keeps no anomaly.
-    "no_solar": (SynthConfig(n_lat=8, n_lon=16, n_steps=300, include_solar=False,
-                             t_levels=(300, 850)), 2,
-                 "37a773f2b004d986a603d937aede2e2ffc7bfd83ccef79a32eb9451be4c0a6a9"),
-    "no_constants_no_t": (SynthConfig(n_lat=8, n_lon=16, n_steps=300,
-                                      include_constants=False, t_levels=()), 3,
-                          "0f69001f14125909ba0ef66d2d559c5e331cd18e15ec0a9c7c33531b0c1fa5e0"),
 }
 # The .gfb file `probcast synth --seed 1` writes with its default flags.
 PINNED_CLI_DEFAULT_GFB = "02457403053d790e9df2129748a18b6b8c6b3b328dc80093ec5670b9e88128e4"
@@ -51,6 +44,14 @@ def test_peak_memory_is_a_few_dataset_copies():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * ds.data.nbytes
+
+
+def test_fixed_variable_layout():
+    ds = synth_generate(SynthConfig(n_lat=4, n_lon=8, n_steps=3), 0)
+    assert ds.variables == [("z", 200), ("z", 500), ("z", 850), ("t", 500), ("t", 850),
+                            ("solar", "surface"), ("orography", "constant"),
+                            ("land_sea", "constant"), ("latitude", "constant")]
+    assert ds.epoch_hours_start == 0
 
 
 def test_same_seed_bit_identical():
