@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +47,6 @@ class BinSpec:
     def representatives(self) -> np.ndarray:
         """Lower bound of every bin, shape (n_bins,)."""
         return self.v_min + np.arange(self.n_bins) * self.width
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BinSpec":
-        return cls(**d)
 
 
 @dataclass

@@ -19,10 +19,9 @@ import numpy as np
 from .binning import BinSpec, DensityGrid, discretize, expectation
 from .contours import contours_to_csv, contours_to_svg, probability_contours
 from .ensemble import ensemble_spread, generate_ensemble, linear_pool
-from .gfb import load_dataset, save_dataset
-from .grid import Dataset, GridSpec, SplitPlan, climatology, persistence_forecast
-from .resnet import (ResNet, ResNetConfig, TrainingSchedule, build_samples,
-                     lead_steps, train)
+from .gfb import json_text, load_dataset, save_dataset
+from .grid import GridSpec, SplitPlan, climatology, persistence_forecast
+from .resnet import ResNet, ResNetConfig, TrainingSchedule, build_samples, train
 from .stacking import LearnerOutput, StackModel, average_combine, stack_predict, train_stack
 from .synth import SynthConfig, synth_generate
 from .verification import (assemble_report, cdf_threshold, render_report_table,
@@ -51,11 +50,6 @@ def _parse_split(text: str):
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("--split needs 4 fractions")
     return parts
-
-
-def _splits(ds: Dataset, fractions) -> SplitPlan:
-    tr, nv, sv, te = fractions
-    return SplitPlan.from_fractions(ds.n_time, tr, nv, sv, te)
 
 
 def _positive(cast):
@@ -87,7 +81,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     ds = load_dataset(args.data)
-    splits = _splits(ds, args.split)
+    splits = SplitPlan.from_fractions(ds.n_time, *args.split)
     cfg = ResNetConfig(inputs=_parse_varlist(args.inputs),
                        target=_parse_varlist(args.target)[0],
                        lead_hours=args.lead_hours, n_blocks=args.blocks,
@@ -103,10 +97,9 @@ def cmd_train(args) -> int:
     model.save(out / "model.pwnn")
     (out / "history.csv").write_text(history.to_csv())
     meta = {"data": str(args.data), "split": args.split, "seed": args.seed,
-            "config": cfg.to_json_dict(), "best_epoch": history.best_epoch,
+            "config": asdict(cfg), "best_epoch": history.best_epoch,
             "best_val_loss": min(history.val_loss)}
-    (out / "train_manifest.json").write_text(json.dumps(meta, indent=2,
-                                                        sort_keys=True) + "\n")
+    (out / "train_manifest.json").write_text(json_text(meta))
     print(f"trained model: {len(history.epochs)} epochs, "
           f"best val loss {min(history.val_loss):.6g} at epoch {history.best_epoch}")
     print(f"wrote {out / 'model.pwnn'}")
@@ -115,7 +108,7 @@ def cmd_train(args) -> int:
 
 def cmd_ensemble(args) -> int:
     ds = load_dataset(args.data)
-    splits = _splits(ds, args.split)
+    splits = SplitPlan.from_fractions(ds.n_time, *args.split)
     model = ResNet.load(args.model)
     split_range = splits.range(args.split_name)
     X, truth, _ = build_samples(ds, model.cfg, split_range)
@@ -138,19 +131,18 @@ def cmd_ensemble(args) -> int:
         "n_members": args.members,
         "master_seed": args.seed,
         "member_seeds": ens.member_seeds,
-        "binspec": model.binspec.to_json_dict(),
+        "binspec": asdict(model.binspec),
         "variable": list(model.cfg.target),
         "lead_hours": model.cfg.lead_hours,
         "latitudes_deg": ds.grid.latitudes_deg.tolist(),
         "longitudes_deg": ds.grid.longitudes_deg.tolist(),
         "spread": spread_scalar,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                  sort_keys=True) + "\n")
+    (out / "manifest.json").write_text(json_text(manifest))
     rmse = weighted_rmse(expectation(pooled), truth, ds.grid)
     print(f"pooled {args.members}-member ensemble on {args.split_name}: "
           f"weighted RMSE {rmse:.6g}" +
-          (f", spread {spread_scalar:.6g}" if spread_scalar else ""))
+          (f", spread {spread_scalar:.6g}" if spread_scalar is not None else ""))
     print(f"wrote {out}")
     return 0
 
@@ -161,7 +153,7 @@ def _load_ensemble_dir(path):
     pooled = np.load(path / "pooled_probs.npy")
     truth = np.load(path / "truth.npy")
     try:
-        spec = BinSpec.from_json_dict(manifest["binspec"])
+        spec = BinSpec(**manifest["binspec"])
     except TypeError as exc:  # missing, unknown or ill-typed fields
         raise ValueError(f"bad bin spec in {path / 'manifest.json'}: {exc}") from exc
     grid = GridSpec(np.array(manifest["latitudes_deg"]),
@@ -205,8 +197,7 @@ def cmd_stack(args) -> int:
     rmse_avg = weighted_rmse(average_combine(outputs), truth, grid)
     meta = {"learners": [o.learner_id for o in outputs], "seed": args.seed,
             "train_rows_rmse": rmse_stack, "average_baseline_rmse": rmse_avg}
-    (out / "stack_manifest.json").write_text(json.dumps(meta, indent=2,
-                                                        sort_keys=True) + "\n")
+    (out / "stack_manifest.json").write_text(json_text(meta))
     print(f"stacked {len(outputs)} learners: training-rows RMSE {rmse_stack:.6g} "
           f"(simple average {rmse_avg:.6g})")
     print(f"wrote {out / 'stack.pwnn'}")
@@ -214,30 +205,24 @@ def cmd_stack(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.ensemble:
-        manifest, pooled, truth, grid = _load_ensemble_dir(args.ensemble)
+    if args.ensemble is not None:
+        manifest, density, truth, grid = _load_ensemble_dir(args.ensemble)
         spread = manifest.get("spread")
         if spread is not None and (type(spread) not in (int, float)
                                    or not 0 <= spread < np.inf):
             raise ValueError(f"ensemble spread in {args.ensemble} must be null or a "
                              f"finite number >= 0, got {spread!r}")
-        variable, level = manifest["variable"]
-        report = assemble_report(pooled, truth, grid, variable=variable,
-                                 level=level, lead_hours=manifest["lead_hours"],
-                                 split=manifest["split_name"], spread=spread)
-    elif args.stack:
+    else:
         if not args.learners:
             raise SystemExit("--stack evaluation needs --learners")
         model = StackModel.load(args.stack)
-        outputs, manifest0, _, truth, grid = _load_learners(args.learners,
-                                                            model.binspec)
-        fused = stack_predict(model, outputs)
-        variable, level = manifest0["variable"]
-        report = assemble_report(fused, truth, grid, variable=variable,
-                                 level=level, lead_hours=manifest0["lead_hours"],
-                                 split=manifest0["split_name"])
-    else:
-        raise SystemExit("evaluate needs --ensemble DIR or --stack PWNN")
+        outputs, manifest, _, truth, grid = _load_learners(args.learners,
+                                                           model.binspec)
+        density, spread = stack_predict(model, outputs), None
+    variable, level = manifest["variable"]
+    report = assemble_report(density, truth, grid, variable=variable, level=level,
+                             lead_hours=manifest["lead_hours"],
+                             split=manifest["split_name"], spread=spread)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json())
@@ -249,32 +234,27 @@ def cmd_evaluate(args) -> int:
 
 def cmd_baselines(args) -> int:
     ds = load_dataset(args.data)
-    splits = _splits(ds, args.split)
+    splits = SplitPlan.from_fractions(ds.n_time, *args.split)
     variable, level = _parse_varlist(args.target)[0]
-    split_range = splits.range(args.split_name)
-    steps = lead_steps(ds, args.lead_hours)
     pred, truth = persistence_forecast(ds, variable, level, args.lead_hours,
-                                       split_range)
-    rmse_persist = weighted_rmse(pred, truth, ds.grid)
+                                       splits.range(args.split_name))
     clim = climatology(ds, variable, level, splits.train)
-    a, b = split_range
-    clim_stack = np.repeat(clim.values[None], b - a - steps, axis=0)
-    truth_clim = ds.values(variable, level)[a + steps:b]
-    rmse_clim = weighted_rmse(clim_stack, truth_clim, ds.grid)
-    result = {"persistence_rmse": rmse_persist, "climatology_rmse": rmse_clim,
+    result = {"persistence_rmse": weighted_rmse(pred, truth, ds.grid),
+              "climatology_rmse": weighted_rmse(np.broadcast_to(clim.values, truth.shape),
+                                                truth, ds.grid),
               "lead_hours": args.lead_hours, "split_name": args.split_name}
-    print(json.dumps(result, indent=2, sort_keys=True))
+    text = json_text(result)
+    print(text, end="")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "baselines.json").write_text(json.dumps(result, indent=2,
-                                                       sort_keys=True) + "\n")
+        (out / "baselines.json").write_text(text)
     return 0
 
 
 def cmd_explore(args) -> int:
     ds = load_dataset(args.data)
-    splits = _splits(ds, args.split)
+    splits = SplitPlan.from_fractions(ds.n_time, *args.split)
     base = _parse_varlist(args.base_inputs)
     target = _parse_varlist(args.target)[0]
     sched = TrainingSchedule(initial_lr=args.lr, max_epochs=args.epochs,
@@ -300,8 +280,7 @@ def cmd_explore(args) -> int:
     (out / "importance.json").write_text(report.to_json())
     (out / "importance.csv").write_text(report.to_csv())
     (out / "explore_manifest.json").write_text(
-        json.dumps({"experiments": specs, "data": str(args.data),
-                    "split": args.split}, indent=2, sort_keys=True) + "\n")
+        json_text({"experiments": specs, "data": str(args.data), "split": args.split}))
     chosen = [r for r in report.rows if r.selected]
     print(report.to_csv(), end="")
     if chosen:
@@ -393,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     kp.set_defaults(func=cmd_stack)
 
     vp = sub.add_parser("evaluate", help="full verification report")
-    vp.add_argument("--ensemble", help="ensemble dir to score")
-    vp.add_argument("--stack", help="stack.pwnn to score (needs --learners)")
+    scored = vp.add_mutually_exclusive_group(required=True)
+    scored.add_argument("--ensemble", help="ensemble dir to score")
+    scored.add_argument("--stack", help="stack.pwnn to score (needs --learners)")
     vp.add_argument("--learners", help="ensemble dirs feeding the stack")
     vp.add_argument("--out", required=True)
     vp.add_argument("--no-reference", action="store_true",

@@ -11,6 +11,17 @@ from .grid import GridSpec, latitude_weights
 from .resnet import ResNet
 
 
+def _check_members(members: list):
+    """The (bin spec, probs shape) that every member density shares."""
+    if len(members) < 1:
+        raise ValueError("need at least one member")
+    spec, shape = members[0].spec, members[0].probs.shape
+    for m in members[1:]:
+        if m.spec != spec or m.probs.shape != shape:
+            raise ValueError("members disagree on bin spec or grid")
+    return spec, shape
+
+
 @dataclass
 class EnsembleSet:
     """Stochastic forward passes of one trained model over the same samples."""
@@ -19,13 +30,7 @@ class EnsembleSet:
     member_seeds: list       # integer seed per member
 
     def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("an ensemble needs at least one member")
-        spec = self.members[0].spec
-        shape = self.members[0].probs.shape
-        for m in self.members[1:]:
-            if m.spec != spec or m.probs.shape != shape:
-                raise ValueError("ensemble members disagree on bin spec or grid")
+        _check_members(self.members)
 
     @property
     def n_members(self) -> int:
@@ -55,13 +60,7 @@ def generate_ensemble(model: ResNet, x_raw: np.ndarray, n_members: int = 32,
 
 def linear_pool(members: list, weights=None) -> DensityGrid:
     """Convex mixture of member densities (the law-of-total-probability average)."""
-    if len(members) < 1:
-        raise ValueError("nothing to pool")
-    spec = members[0].spec
-    shape = members[0].probs.shape
-    for m in members[1:]:
-        if m.spec != spec or m.probs.shape != shape:
-            raise ValueError("pooled members disagree on bin spec or grid")
+    spec, shape = _check_members(members)
     n = len(members)
     if weights is None:
         weights = np.full(n, 1.0 / n)

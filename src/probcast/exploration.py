@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .binning import expectation
 from .ensemble import generate_ensemble, linear_pool
+from .gfb import json_text
 from .grid import Dataset, SplitPlan
 from .resnet import ResNet, ResNetConfig, TrainingSchedule, build_samples, train
 from .verification import weighted_mse_ci
@@ -68,13 +68,10 @@ class ImportanceReport:
     rows: list
 
     def to_json(self) -> str:
-        d = {"benchmark_mse": self.benchmark_mse,
-             "rows": [{"name": r.name, "levels": [list(v) for v in r.levels],
-                       "mse": r.mse, "ci": [r.ci_lo, r.ci_hi],
-                       "relative_pct": r.relative_pct,
-                       "relative_ci": list(r.relative_ci),
-                       "selected": r.selected} for r in self.rows]}
-        return json.dumps(d, indent=2, sort_keys=True) + "\n"
+        d = asdict(self)
+        for row in d["rows"]:
+            row["ci"] = [row.pop("ci_lo"), row.pop("ci_hi")]
+        return json_text(d)
 
     def to_csv(self) -> str:
         lines = ["name,n_levels,mse,ci_lo,ci_hi,relative_pct,rel_lo,rel_hi,selected"]

@@ -80,8 +80,12 @@ def save_dataset(ds: Dataset, path) -> None:
         "longitudes_deg": ds.grid.longitudes_deg.tolist(),
         "variables": [{"name": n, "level": l} for n, l in ds.variables],
     }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.with_suffix(path.suffix + ".json").write_text(json_text(manifest))
+
+
+def json_text(obj) -> str:
+    """The text of every JSON artifact: sorted keys, 2-space indent, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 class ByteReader:

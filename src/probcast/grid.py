@@ -188,6 +188,14 @@ def climatology(ds: Dataset, variable: str, level, split: tuple) -> Field:
     return Field(variable, level, mean)
 
 
+def lead_steps(ds: Dataset, lead_hours: int) -> int:
+    """The lead in dataset steps; it must be a non-negative multiple of the step."""
+    if lead_hours < 0 or lead_hours % ds.step_hours != 0:
+        raise ValueError(f"lead {lead_hours} h is not a non-negative multiple of the "
+                         f"{ds.step_hours} h step")
+    return lead_hours // ds.step_hours
+
+
 def persistence_forecast(ds: Dataset, variable: str, level, lead_hours: int,
                          split: tuple | None = None):
     """Forecast that the field at t+lead equals the field at t.
@@ -195,13 +203,9 @@ def persistence_forecast(ds: Dataset, variable: str, level, lead_hours: int,
     Returns (pred, truth) arrays of shape (n_valid, n_lat, n_lon); when a
     split is given, both issue and valid times stay inside it.
     """
-    if lead_hours < 0 or lead_hours % ds.step_hours != 0:
-        raise ValueError(f"lead_hours must be a non-negative multiple of {ds.step_hours}")
-    steps = lead_hours // ds.step_hours
+    steps = lead_steps(ds, lead_hours)
     a, b = split if split is not None else (0, ds.n_time)
     if steps >= b - a and steps > 0:
         raise ValueError("lead exceeds the available time span")
     vals = ds.values(variable, level)
-    pred = vals[a:b - steps] if steps > 0 else vals[a:b]
-    truth = vals[a + steps:b]
-    return pred, truth
+    return vals[a:b - steps], vals[a + steps:b]

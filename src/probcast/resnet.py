@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .binning import BinSpec, DensityGrid, discretize, fit_bins
 from .checkpoint import load_model, restore_state, save_model, snap_f32
-from .grid import Dataset
+from .grid import Dataset, lead_steps
 from .nn import LEAKY_ALPHA, Adam, BatchNorm2d, Conv2d
 
 logger = logging.getLogger(__name__)
@@ -49,13 +49,6 @@ class ResNetConfig:
         self.target = (str(self.target[0]), self.target[1])
         if self.lead_hours < 0:
             raise ValueError("lead_hours must be non-negative")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ResNetConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -316,13 +309,6 @@ class ResNet:
 
 
 # --- data assembly ----------------------------------------------------------------
-
-
-def lead_steps(ds: Dataset, lead_hours: int) -> int:
-    if lead_hours % ds.step_hours != 0:
-        raise ValueError(f"lead {lead_hours} h is not a multiple of the "
-                         f"{ds.step_hours} h step")
-    return lead_hours // ds.step_hours
 
 
 def build_samples(ds: Dataset, cfg: ResNetConfig, split: tuple):

@@ -17,12 +17,12 @@ Conventions fixed here and relied on by the tests:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .binning import DensityGrid, density_stddev, discretize, expectation
+from .gfb import json_text
 from .grid import GridSpec, latitude_weights
 
 Z_95 = 1.960
@@ -249,34 +249,10 @@ class ScoreReport:
                 raise ValueError("percentages must lie in [0, 100]")
 
     def to_json(self) -> str:
-        d = {
-            "variable": self.variable,
-            "level": self.level,
-            "lead_hours": self.lead_hours,
-            "n_samples": self.n_samples,
-            "split": self.split,
-            "weighted_rmse": self.weighted_rmse,
-            "weighted_mse": self.weighted_mse,
-            "mse_ci": [self.mse_ci_lo, self.mse_ci_hi],
-            "mean_crps": self.mean_crps,
-            "coverage": self.coverage,
-            "topk": {str(k): v for k, v in self.topk.items()},
-            "spread": self.spread,
-            "spread_skill": self.spread_skill,
-        }
-        return json.dumps(d, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScoreReport":
-        d = json.loads(text)
-        return cls(variable=d["variable"], level=d["level"],
-                   lead_hours=d["lead_hours"], n_samples=d["n_samples"],
-                   split=d["split"], weighted_rmse=d["weighted_rmse"],
-                   weighted_mse=d["weighted_mse"], mse_ci_lo=d["mse_ci"][0],
-                   mse_ci_hi=d["mse_ci"][1], mean_crps=d["mean_crps"],
-                   coverage=d["coverage"],
-                   topk={int(k): v for k, v in d["topk"].items()},
-                   spread=d["spread"], spread_skill=d["spread_skill"])
+        d = asdict(self)
+        d["mse_ci"] = [d.pop("mse_ci_lo"), d.pop("mse_ci_hi")]
+        d["topk"] = {str(k): v for k, v in self.topk.items()}
+        return json_text(d)
 
 
 def assemble_report(d: DensityGrid, truth, grid: GridSpec, *, variable: str,

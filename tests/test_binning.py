@@ -35,10 +35,6 @@ class TestBinSpec:
         with pytest.raises(ValueError):
             BinSpec(1.0, 1.0, 10)
 
-    def test_json_round_trip(self):
-        spec = BinSpec(-3.5, 12.25, 16)
-        assert BinSpec.from_json_dict(spec.to_json_dict()) == spec
-
 
 class TestFitBins:
     def test_fit_on_training_split_only(self):

@@ -7,6 +7,8 @@ import pytest
 
 from probcast.cli import main
 from probcast.gfb import load_dataset
+from probcast.grid import SplitPlan, climatology, persistence_forecast
+from probcast.verification import weighted_rmse
 
 
 def sha(path):
@@ -123,6 +125,30 @@ class TestPipeline:
                    "--learners", learners, "--out", out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["weighted_rmse"] > 0
+
+    @pytest.mark.parametrize("flags", [("--ensemble", "--stack"), ()],
+                             ids=["both", "neither"])
+    def test_evaluate_scores_exactly_one_of_ensemble_or_stack(self, pipeline, flags,
+                                                              tmp_path):
+        root, _ = pipeline
+        paths = {"--ensemble": root / "m1_test", "--stack": root / "stack" / "stack.pwnn"}
+        out = tmp_path / "eval"
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", *[a for f in flags for a in (f, paths[f])],
+                "--learners", f"{root / 'm1_test'},{root / 'm2_test'}", "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_ensemble_summary_shows_zero_spread(self, pipeline, tmp_path, capsys):
+        _, data = pipeline
+        # a dropout rate this small drops nothing, so both members are one forecast
+        assert run("train", "--data", data, "--seed", 1, "--bins", 5, "--blocks", 1,
+                   "--epochs", 1, "--dropout", "1e-12", "--out", tmp_path / "m") == 0
+        capsys.readouterr()
+        assert run("ensemble", "--data", data, "--model", tmp_path / "m" / "model.pwnn",
+                   "--members", 2, "--seed", 9, "--out", tmp_path / "e") == 0
+        assert json.loads((tmp_path / "e" / "manifest.json").read_text())["spread"] == 0.0
+        assert ", spread 0\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("altered", [("m2_test",), ("m1_test", "m2_test")])
     def test_evaluate_stack_refuses_other_bin_spec(self, pipeline, altered,
@@ -252,6 +278,19 @@ class TestPipeline:
         out = json.loads(capsys.readouterr().out)
         assert out["persistence_rmse"] > 0
         assert out["climatology_rmse"] > 0
+
+    def test_baselines_equal_direct_scores(self, pipeline, capsys):
+        _, data = pipeline
+        assert run("baselines", "--data", data, "--target", "z:500",
+                   "--lead-hours", 72, "--split-name", "test") == 0
+        out = json.loads(capsys.readouterr().out)
+        ds = load_dataset(data)
+        splits = SplitPlan.from_fractions(ds.n_time)
+        pred, truth = persistence_forecast(ds, "z", 500, 72, splits.test)
+        clim = climatology(ds, "z", 500, splits.train).values
+        assert out["persistence_rmse"] == weighted_rmse(pred, truth, ds.grid)
+        assert out["climatology_rmse"] == weighted_rmse(
+            np.repeat(clim[None], len(truth), axis=0), truth, ds.grid)
 
     def test_contours_emits_three_level_groups(self, pipeline, capsys):
         root, _ = pipeline

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from probcast.grid import (CONSTANT, SURFACE, Dataset, GridSpec, SplitPlan,
-                           climatology, latitude_weights, persistence_forecast)
+                           climatology, latitude_weights, lead_steps,
+                           persistence_forecast)
 
 
 def small_dataset(n_time=8, n_lat=4, n_lon=6, seed=0):
@@ -128,6 +129,14 @@ class TestPersistence:
     def test_lead_not_multiple_of_step(self):
         with pytest.raises(ValueError):
             persistence_forecast(small_dataset(), "z", 500, 7)
+
+    @pytest.mark.parametrize("lead_hours", [-6, -24])
+    def test_negative_lead_refused(self, lead_hours):
+        ds = small_dataset()
+        with pytest.raises(ValueError, match="non-negative"):
+            lead_steps(ds, lead_hours)
+        with pytest.raises(ValueError, match="non-negative"):
+            persistence_forecast(ds, "z", 500, lead_hours)
 
     def test_lead_exceeding_span(self):
         with pytest.raises(ValueError):

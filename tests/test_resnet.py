@@ -36,10 +36,6 @@ def identity_stats(model, n_channels):
 
 
 class TestConfig:
-    def test_json_round_trip(self):
-        cfg = toy_config(dropout_rate=0.0)
-        assert ResNetConfig.from_json_dict(cfg.to_json_dict()) == cfg
-
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             toy_config(n_blocks=0)
