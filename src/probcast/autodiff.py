@@ -1,32 +1,70 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Deliberately minimal: exactly the operations the forecast network needs.
-A Tensor wraps an ndarray and records its parents plus a vector-Jacobian
-closure; backward() walks the graph once in reverse topological order. As it
-goes, each interior tensor (one made by an op) drops its gradient, its
-closure and its links to its parents once its vjp has run, so a spent
-gradient and the forward arrays only that tensor held are released during
-the pass. Only leaves (parameters and inputs) keep .grad, and a second
+A Tensor holds its ndarray and, when a gradient can flow to it, a small
+graph node: the gradient slot, the dtype, the parents' nodes and a
+vector-Jacobian closure. A node links to its parents' nodes, never to their
+tensors, and each closure captures only the arrays its vjp reads, so an op
+output is freed as soon as no name and no closure holds it. backward() walks
+the nodes once in reverse topological order; each interior node (one made
+by an op) drops its gradient, its closure and its parent links once its vjp
+has run. Only leaves (parameters and inputs) keep .grad, and a second
 backward on the same graph raises.
+
+Inside ``with no_grad():`` ops record no node at all, so inference builds no
+graph and each intermediate dies once the next op has read it.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
 PROB_FLOOR = 1e-12  # probability floor applied before logs in the CE loss
 
 
+class _Mode(threading.local):
+    recording = True  # False inside no_grad() on this thread: ops give outputs no node
+
+
+_mode = _Mode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops this thread runs inside record no graph; backward on their outputs raises."""
+    previous, _mode.recording = _mode.recording, False
+    try:
+        yield
+    finally:
+        _mode.recording = previous
+
+
+class _Node:
+    """What backward needs of one tensor; its array stays with the Tensor."""
+
+    __slots__ = ("grad", "dtype", "parents", "vjp", "consumed")
+
+    def __init__(self, dtype, parents, vjp):
+        self.grad = None
+        self.dtype = dtype
+        self.parents = parents  # parents' nodes, None for a constant parent
+        self.vjp = vjp
+        self.consumed = False
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_consumed")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
         self.data = np.asarray(data)
-        self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._vjp = _vjp
-        self._consumed = False
+        parents = tuple(p._node for p in _parents) if _mode.recording else ()
+        if requires_grad or any(n is not None for n in parents):
+            self._node = _Node(self.data.dtype, parents, _vjp if parents else None)
+        else:
+            self._node = None
 
     @property
     def shape(self):
@@ -35,6 +73,35 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise RuntimeError("this tensor records no gradient")
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, fn):
+        if self._node is None:
+            raise RuntimeError("this tensor records no graph")
+        self._node.vjp = fn
 
     def zero_grad(self):
         self.grad = None
@@ -49,17 +116,21 @@ class Tensor:
     def backward(self):
         """Accumulate gradients of this scalar into every reachable leaf's .grad.
 
-        Interior tensors end with grad None and no parents: each drops both
+        Interior nodes end with grad None and no parents: each drops both
         as soon as its vjp has passed the gradient on.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar loss")
-        if self._consumed:
+        root = self._node
+        if root is None:
+            raise RuntimeError("backward on a tensor with no graph: it was made "
+                               "under no_grad() or from constants only")
+        if root.consumed:
             raise RuntimeError("backward already called on this graph; re-run forward")
 
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -69,37 +140,48 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+            for p in node.parents:
+                if p is not None and id(p) not in seen:
                     stack.append((p, False))
 
-        self.grad = np.ones_like(self.data)
-        while topo:  # popped, so a spent node is freed unless the caller holds it
+        root.grad = np.ones_like(self.data)
+        while topo:  # popped, so a spent node is freed unless a tensor holds it
             node = topo.pop()
-            if node._vjp is not None:
+            if node.vjp is not None:
                 if node.grad is not None:
-                    _accumulate(node._parents, node._vjp(node.grad))
+                    _accumulate(node.parents, node.vjp(node.grad))
                 node.grad = None
-                node._parents = ()
-                node._vjp = None
-            node._consumed = True
+                node.parents = ()
+                node.vjp = None
+            node.consumed = True
 
 
 def _accumulate(parents, grads):
-    """Add each vjp output into its parent's .grad (a new array, never in place).
+    """Add each vjp output into its parent node's .grad (a new array, never in place).
 
     A function of its own, so no spent gradient outlives the call in a loop
     variable while the next vjp runs.
     """
     for parent, g in zip(parents, grads):
-        if g is None or not parent.requires_grad:
+        if g is None or parent is None:
             continue
-        if g.dtype != parent.data.dtype:
-            g = g.astype(parent.data.dtype)
+        if g.dtype != parent.dtype:
+            g = g.astype(parent.dtype)
         if parent.grad is None:
             parent.grad = g
         else:
             parent.grad = parent.grad + g
+
+
+def _into(op, a: np.ndarray, b) -> np.ndarray:
+    """op(a, b), written into a when that keeps op's result dtype.
+
+    For a temporary a of the broadcast shape, the values are op(a, b)'s bit
+    for bit; only the second full-size array is saved.
+    """
+    if a.dtype == np.result_type(a, b):
+        return op(a, b, out=a)
+    return op(a, b)
 
 
 def _as_const(x) -> np.ndarray:
@@ -114,13 +196,15 @@ def add(x: Tensor, y: Tensor) -> Tensor:
 
 
 def square(x: Tensor) -> Tensor:
-    return Tensor(x.data ** 2, _parents=(x,), _vjp=lambda g: (2.0 * x.data * g,))
+    xd = x.data
+    return Tensor(xd ** 2, _parents=(x,), _vjp=lambda g: (2.0 * xd * g,))
 
 
 def tensor_sum(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(dtype=np.float64))
+    shape = x.data.shape
     return Tensor(out, _parents=(x,),
-                  _vjp=lambda g: (np.broadcast_to(g, x.data.shape).copy(),))
+                  _vjp=lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def _slope_times(pos: np.ndarray, alpha: float, v: np.ndarray) -> np.ndarray:
@@ -144,7 +228,11 @@ def leaky_relu(x: Tensor, alpha: float = 0.3) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); rate 0 is identity."""
+    """Inverted dropout: survivors scaled by 1/(1-rate); rate 0 is identity.
+
+    The graph keeps the bool keep mask; the vjp rebuilds the scaled mask
+    from it, with the same values as the forward's.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
@@ -152,9 +240,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     if rng is None:
         raise ValueError("enabled dropout needs an rng stream")
     keep = (rng.random(x.data.shape) >= rate)
-    scale = 1.0 / (1.0 - rate)
-    mask = keep.astype(x.data.dtype) * np.asarray(scale, dtype=x.data.dtype)
-    return Tensor(x.data * mask, _parents=(x,), _vjp=lambda g: (g * mask,))
+    dt = x.data.dtype
+    scale = np.asarray(1.0 / (1.0 - rate), dtype=dt)
+    return Tensor(x.data * (keep.astype(dt) * scale), _parents=(x,),
+                  _vjp=lambda g: (g * (keep.astype(dt) * scale),))
 
 
 def _pad_periodic(x: np.ndarray, p: int) -> np.ndarray:
@@ -195,7 +284,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     # kept in the graph; the backward forms dw and dx from the same samples.
     # Per sample, every matmul, einsum and col2im makes the same BLAS call and
     # the same float adds, in the same order, as their batched forms. The
-    # padded input is not kept either: the backward pads x.data again.
+    # padded input is not kept either: the backward pads x again.
     def sample_columns(xpad):
         win = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(2, 3))
         win = win.transpose(0, 1, 4, 5, 2, 3)  # (B, C, k, k, H, W), a strided view
@@ -205,18 +294,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             np.copyto(buf6, win[i])
             yield i, buf
 
+    xd, w_shape, needs_dx = x.data, w.data.shape, x.requires_grad
     w2 = w.data.reshape(C_out, C * k * k)
-    xpad = _pad_periodic(x.data, p)
+    xpad = _pad_periodic(xd, p)
     out = np.empty((B, C_out, H * W), dtype=np.result_type(w2, xpad))
     for i, cols in sample_columns(xpad):
         np.matmul(w2, cols, out=out[i])
     out = (out + b.data[:, None]).reshape(B, C_out, H, W)
 
     def vjp(g):
-        xpad = _pad_periodic(x.data, p)
+        xpad = _pad_periodic(xd, p)
         gflat = g.reshape(B, C_out, H * W)
         dw = np.zeros((C_out, C * k * k), dtype=np.result_type(gflat, xpad))
-        dx = np.empty(x.data.shape, dtype=xpad.dtype) if x.requires_grad else None
+        dx = np.empty(xd.shape, dtype=xpad.dtype) if needs_dx else None
         d6 = np.empty((C, k, k, H, W), dtype=np.result_type(w2, gflat))
         dxpad = np.empty(xpad.shape[1:], dtype=xpad.dtype)
         col2im = [(dxpad[:, di:di + H, dj:dj + W], d6[:, di, dj])  # views, sliced once per call
@@ -229,22 +319,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 for window, dcol in col2im:
                     window += dcol
                 dx[i] = _fold_periodic(dxpad, p)
-        return dx, dw.reshape(w.data.shape), gflat.sum(axis=(0, 2))
+        return dx, dw.reshape(w_shape), gflat.sum(axis=(0, 2))
 
     return Tensor(out, _parents=(x, w, b), _vjp=vjp)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map for row features: (M, F) @ (F, U) + (U,)."""
-    out = x.data @ w.data
-    if out.dtype == np.result_type(out, b.data):
-        out += b.data
-    else:
-        out = out + b.data
+    xd, wd, needs_dx = x.data, w.data, x.requires_grad
+    out = _into(np.add, xd @ wd, b.data)
 
     def vjp(g):
-        dx = g @ w.data.T if x.requires_grad else None
-        return dx, x.data.T @ g, g.sum(axis=0)
+        dx = g @ wd.T if needs_dx else None
+        return dx, xd.T @ g, g.sum(axis=0)
 
     return Tensor(out, _parents=(x, w, b), _vjp=vjp)
 
@@ -290,19 +377,20 @@ def sparse_categorical_cross_entropy(probs: Tensor, true_bins: np.ndarray,
     true_bins has the shape of probs with the bin axis removed.
     """
     bins = np.asarray(true_bins)
-    n_bins = probs.data.shape[bin_axis]
+    pd = probs.data  # the vjp reads its dtype and layout; softmax's vjp keeps it anyway
+    n_bins = pd.shape[bin_axis]
     if bins.min() < 0 or bins.max() >= n_bins:
         raise ValueError(f"bin index out of range [0, {n_bins})")
     take = np.expand_dims(bins, bin_axis)
-    p_true = np.take_along_axis(probs.data, take, axis=bin_axis)
+    p_true = np.take_along_axis(pd, take, axis=bin_axis)
     floored = np.maximum(p_true, PROB_FLOOR)
     n = p_true.size
     loss = np.asarray(-np.log(floored, dtype=np.float64).sum() / n)
 
     def vjp(g):
         local = np.where(p_true >= PROB_FLOOR, -1.0 / floored, 0.0) * (float(g) / n)
-        dprobs = np.zeros_like(probs.data)
-        np.put_along_axis(dprobs, take, local.astype(probs.data.dtype), axis=bin_axis)
+        dprobs = np.zeros_like(pd)
+        np.put_along_axis(dprobs, take, local.astype(pd.dtype), axis=bin_axis)
         return (dprobs,)
 
     return Tensor(loss, _parents=(probs,), _vjp=vjp)
@@ -325,18 +413,20 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
     """(x - mu) / sqrt(var + eps), then scale/shift per channel of (B, C, H, W).
 
     mu and var are x's statistics over stat_axes, which the backward pass
-    differentiates through, or constants when stat_axes is None.
+    differentiates through, or constants when stat_axes is None. Two
+    full-size arrays are made: x-hat, which the vjp keeps, and the output.
     """
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = _into(np.multiply, x.data - mu, inv)
     ga = gamma.data.reshape(1, -1, 1, 1)
-    out = ga * xhat + beta.data.reshape(1, -1, 1, 1)
+    out = _into(np.add, ga * xhat, beta.data.reshape(1, -1, 1, 1))
+    needs_dx = x.requires_grad
 
     def vjp(g):
         dgamma = (g * xhat).sum(axis=(0, 2, 3))
         dbeta = g.sum(axis=(0, 2, 3))
         dx = None
-        if x.requires_grad:
+        if needs_dx:
             dxhat = g * ga
             if stat_axes is None:
                 dx = dxhat * inv

@@ -20,7 +20,7 @@ from .binning import BinSpec, DensityGrid, discretize, expectation
 from .contours import contours_to_csv, contours_to_svg, probability_contours
 from .ensemble import ensemble_spread, generate_ensemble, linear_pool
 from .gfb import json_text, load_dataset, save_dataset
-from .grid import GridSpec, SplitPlan, climatology, persistence_forecast
+from .grid import SPLIT_NAMES, GridSpec, SplitPlan, climatology, persistence_forecast
 from .resnet import ResNet, ResNetConfig, TrainingSchedule, build_samples, train
 from .stacking import LearnerOutput, StackModel, average_combine, stack_predict, train_stack
 from .synth import SynthConfig, synth_generate
@@ -213,8 +213,6 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"ensemble spread in {args.ensemble} must be null or a "
                              f"finite number >= 0, got {spread!r}")
     else:
-        if not args.learners:
-            raise SystemExit("--stack evaluation needs --learners")
         model = StackModel.load(args.stack)
         outputs, manifest, _, truth, grid = _load_learners(args.learners,
                                                            model.binspec)
@@ -359,9 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--seed", type=int, required=True)
     ep.add_argument("--members", type=_positive(int), default=32)
     ep.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15])
-    ep.add_argument("--split-name", default="test",
-                    choices=("train", "neural_validation", "stacked_validation",
-                             "test"))
+    ep.add_argument("--split-name", default="test", choices=SPLIT_NAMES)
     ep.set_defaults(func=cmd_ensemble)
 
     kp = sub.add_parser("stack", help="train the stacked combiner")
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     scored = vp.add_mutually_exclusive_group(required=True)
     scored.add_argument("--ensemble", help="ensemble dir to score")
     scored.add_argument("--stack", help="stack.pwnn to score (needs --learners)")
-    vp.add_argument("--learners", help="ensemble dirs feeding the stack")
+    vp.add_argument("--learners", help="ensemble dirs feeding the stack (--stack only)")
     vp.add_argument("--out", required=True)
     vp.add_argument("--no-reference", action="store_true",
                     help="omit full-scale reference rows")
@@ -386,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--target", default="z:500")
     bp.add_argument("--lead-hours", type=int, default=72)
     bp.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15])
-    bp.add_argument("--split-name", default="test")
+    bp.add_argument("--split-name", default="test", choices=SPLIT_NAMES)
     bp.add_argument("--out", default=None)
     bp.set_defaults(func=cmd_baselines)
 
@@ -422,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "evaluate" and (args.stack is not None) != bool(args.learners):
+        parser.error("evaluate --stack needs --learners, and only --stack reads it")
     logging.basicConfig(level=getattr(logging, args.log.upper(), logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     try:

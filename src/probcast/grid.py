@@ -137,6 +137,9 @@ class Dataset:
         return self.data[:, self.var_index(variable, level)]
 
 
+SPLIT_NAMES = ("train", "neural_validation", "stacked_validation", "test")
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Chronological half-open index ranges into a dataset's time axis."""
@@ -149,16 +152,12 @@ class SplitPlan:
     def __post_init__(self):
         ranges = [self.train, self.neural_validation, self.stacked_validation, self.test]
         prev_end = 0
-        for name, (a, b) in zip(self._names(), ranges):
+        for name, (a, b) in zip(SPLIT_NAMES, ranges):
             if not (0 <= a <= b):
                 raise ValueError(f"split {name} has invalid range ({a}, {b})")
             if a < prev_end:
                 raise ValueError("splits must be disjoint and chronological")
             prev_end = b
-
-    @staticmethod
-    def _names():
-        return ("train", "neural_validation", "stacked_validation", "test")
 
     def range(self, name: str) -> tuple:
         try:

@@ -281,7 +281,9 @@ class ResNet:
 
         Each batch runs the trunk once, then the head once per stream. A
         stream draws its dropout masks in the same batch order and shapes as
-        on its own, so every density is bit-identical to a lone pass.
+        on its own, so every density is bit-identical to a lone pass. No
+        graph is recorded, so each intermediate goes once the next op has
+        read it.
         """
         if self.binspec is None:
             raise RuntimeError("model has no bin spec; train or fit first")
@@ -290,12 +292,13 @@ class ResNet:
         # bins stay the second axis in memory, as predict_density always laid
         # them out: expectation()'s matmul rounds differently on other layouts
         outs = [np.empty((n, self.cfg.n_bins, n_lat, n_lon)) for _ in rngs]
-        for i in range(0, n, batch_size):
-            y, h = self._trunk(x_raw[i:i + batch_size], False)
-            for out, rng in zip(outs, rngs):
-                dst = out[i:i + batch_size]
-                dst[...] = self._head(y, h, False, dropout_enabled, rng).data
-                ad.softmax_array(dst, 1, out=dst)
+        with ad.no_grad():
+            for i in range(0, n, batch_size):
+                y, h = self._trunk(x_raw[i:i + batch_size], False)
+                for out, rng in zip(outs, rngs):
+                    dst = out[i:i + batch_size]
+                    dst[...] = self._head(y, h, False, dropout_enabled, rng).data
+                    ad.softmax_array(dst, 1, out=dst)
         return [DensityGrid(np.moveaxis(out, 1, -1), self.binspec) for out in outs]
 
     # --- persistence ------------------------------------------------------------
@@ -356,11 +359,11 @@ def evaluate_loss(model: ResNet, X: np.ndarray, y, batch_size: int = 64) -> floa
     """Mean loss over samples with dropout off and frozen normalization."""
     n = X.shape[0]
     total = 0.0
-    for i in range(0, n, batch_size):
-        stop = min(i + batch_size, n)
-        # no name holds the graph, so it is freed before the next batch's forward
-        total += _batch_loss(model, X[i:stop], y[i:stop], training=False,
-                             rng=None).item() * (stop - i)
+    with ad.no_grad():
+        for i in range(0, n, batch_size):
+            stop = min(i + batch_size, n)
+            total += _batch_loss(model, X[i:stop], y[i:stop], training=False,
+                                 rng=None).item() * (stop - i)
     return float(total / n)
 
 

@@ -114,10 +114,11 @@ class StackModel:
         """Row densities (M, n_bins) in f64."""
         feats = np.asarray(feats)
         out = np.empty((feats.shape[0], self.cfg.n_bins))
-        for i in range(0, feats.shape[0], PREDICT_ROWS):
-            dst = out[i:i + PREDICT_ROWS]
-            dst[...] = self.forward(feats[i:i + PREDICT_ROWS]).data
-            ad.softmax_array(dst, 1, out=dst)
+        with ad.no_grad():
+            for i in range(0, feats.shape[0], PREDICT_ROWS):
+                dst = out[i:i + PREDICT_ROWS]
+                dst[...] = self.forward(feats[i:i + PREDICT_ROWS]).data
+                ad.softmax_array(dst, 1, out=dst)
         return out
 
     def state_arrays(self) -> list:
@@ -181,9 +182,10 @@ def train_stack(outputs: list, true_bins: np.ndarray, binspec: BinSpec,
 
     def val_loss():
         total = 0.0
-        for i in range(0, val_idx.size, batch_rows):
-            take = val_idx[i:i + batch_rows]
-            total += rows_loss(take).item() * take.size
+        with ad.no_grad():
+            for i in range(0, val_idx.size, batch_rows):
+                take = val_idx[i:i + batch_rows]
+                total += rows_loss(take).item() * take.size
         return total / val_idx.size
 
     fit(model, tr_idx, rows_loss, val_loss, sched, shuffle_rng, log=logger,

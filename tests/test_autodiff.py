@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -107,6 +109,126 @@ class TestBackwardReleasesGraph:
         for _ in range(8):
             neg = 0.3 * neg  # the vjps' product order
         np.testing.assert_array_equal(x.grad, np.where(x.data >= 0, 1.0, neg))
+
+
+class TestGraphKeepsWhatVjpsRead:
+    """A node links to its parents' nodes, so op outputs go once no name holds them."""
+
+    @staticmethod
+    def _block(hold):
+        """conv -> batch norm -> rectifier -> dropout -> skip add -> MSE, then backward.
+
+        Returns the parameters' gradients and the op outputs that were still
+        alive right after the skip add ran. hold keeps every output named.
+        """
+        rng = np.random.default_rng(31)
+        B, C, H, W, k = 2, 3, 4, 6, 3
+        x = Tensor(rng.normal(size=(B, C, H, W)), requires_grad=True)
+        params = [Tensor(rng.normal(size=(C, C, k, k)) * 0.4, requires_grad=True),
+                  Tensor(rng.normal(size=C), requires_grad=True),
+                  Tensor(rng.normal(size=C) + 1.0, requires_grad=True),
+                  Tensor(rng.normal(size=C), requires_grad=True)]
+        w, b, gamma, beta = params
+        held, refs = [], {}
+
+        def step(name, t):
+            refs[name] = weakref.ref(t.data)
+            if hold:
+                held.append(t)
+            return t
+
+        h = step("conv", ad.conv2d(x, w, b))
+        mean, var = h.data.mean(axis=(0, 2, 3)), h.data.var(axis=(0, 2, 3))
+        h = step("norm", ad.batch_norm(h, gamma, beta, mean, var))
+        h = step("rectifier", ad.leaky_relu(h))
+        h = step("dropout", ad.dropout(h, 0.3, np.random.default_rng(5)))
+        y = ad.add(x, h)
+        del h
+        alive = sorted(name for name, ref in refs.items() if ref() is not None)
+        ad.mse_loss(y, rng.normal(size=(B, C, H, W))).backward()
+        return [p.grad for p in [x] + params], alive
+
+    def test_op_outputs_freed_once_the_next_op_has_run(self):
+        grads, alive = self._block(hold=False)
+        assert alive == []
+        held_grads, held_alive = self._block(hold=True)
+        assert held_alive == ["conv", "dropout", "norm", "rectifier"]
+        for g, g_held in zip(grads, held_grads):
+            assert_same_floats(g, g_held)
+
+    def test_reassigned_vjp_routes_backward_after_its_tensor_is_gone(self):
+        """A span shim sets out._vjp on an op's output; the node keeps the new
+        function after the tensor itself is freed."""
+        x = Tensor(np.arange(4.0) - 1.5, requires_grad=True)
+        y = ad.leaky_relu(x)
+        seen = []
+        inner = y._vjp
+
+        def wrapped(g):
+            seen.append(g.copy())
+            return inner(g)
+
+        y._vjp = wrapped
+        assert y._vjp is wrapped
+        gone = weakref.ref(y.data)
+        loss = ad.tensor_sum(ad.add(y, y))
+        del y
+        assert gone() is None
+        loss.backward()
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], np.full(4, 2.0))
+        np.testing.assert_array_equal(x.grad, [0.6, 0.6, 2.0, 2.0])
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph_and_backward_raises(self):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+
+        def loss():
+            h = ad.dropout(ad.leaky_relu(ad.conv2d(x, w, b)), 0.2, np.random.default_rng(1))
+            return ad.tensor_sum(ad.softmax(ad.add(x, h), axis=1))
+
+        recorded = loss()
+        with ad.no_grad():
+            bare = loss()
+        assert_same_floats(bare.data, recorded.data)
+        assert not bare.requires_grad
+        assert bare._parents == () and bare._vjp is None and bare.grad is None
+        with pytest.raises(RuntimeError, match="no graph"):
+            bare.backward()
+        with pytest.raises(RuntimeError, match="no graph"):
+            bare._vjp = lambda g: (g,)
+        assert w.grad is None
+        recorded.backward()
+        assert w.grad is not None
+
+    def test_recording_resumes_after_the_block(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("inside")
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.square(x).requires_grad
+        assert ad.square(x).requires_grad
+        with ad.no_grad():
+            leaf = Tensor(np.ones(2), requires_grad=True)
+        assert leaf.requires_grad
+
+    def test_switch_is_per_thread(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        seen = []
+        other = threading.Thread(target=lambda: seen.append(ad.square(x).requires_grad))
+        with ad.no_grad():
+            other.start()
+            other.join(timeout=10)
+            assert not ad.square(x).requires_grad
+        assert not other.is_alive()
+        assert seen == [True]
 
 
 class TestLeakyRelu:

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from probcast.cli import main
 from probcast.gfb import load_dataset
-from probcast.grid import SplitPlan, climatology, persistence_forecast
+from probcast.grid import SPLIT_NAMES, SplitPlan, climatology, persistence_forecast
 from probcast.verification import weighted_rmse
 
 
@@ -51,6 +52,20 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--" in out
+
+
+@pytest.mark.parametrize("cmd", ["ensemble --model m.pwnn --seed 1", "baselines"])
+def test_unknown_split_name_is_usage_error(cmd, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*cmd.split(), "--data", tmp_path / "absent.gfb", "--out", tmp_path / "o",
+            "--split-name", "nope")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "nope" in err and all(name in err for name in SPLIT_NAMES)
+
+
+def test_split_names_are_the_split_plan_fields():
+    assert SPLIT_NAMES == tuple(f.name for f in fields(SplitPlan))
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +152,21 @@ class TestPipeline:
             run("evaluate", *[a for f in flags for a in (f, paths[f])],
                 "--learners", f"{root / 'm1_test'},{root / 'm2_test'}", "--out", out)
         assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scored", ["--ensemble", "--stack"])
+    def test_evaluate_learners_go_with_stack_only(self, pipeline, scored, tmp_path,
+                                                  capsys):
+        """--ensemble with --learners, or --stack without it, is a usage error."""
+        root, _ = pipeline
+        out = tmp_path / "eval"
+        args = {"--ensemble": ["--ensemble", root / "m1_test",
+                               "--learners", tmp_path / "absent"],
+                "--stack": ["--stack", root / "stack" / "stack.pwnn"]}[scored]
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", *args, "--out", out)
+        assert exc.value.code == 2
+        assert "--learners" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ensemble_summary_shows_zero_spread(self, pipeline, tmp_path, capsys):

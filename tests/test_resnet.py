@@ -1,15 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from probcast import autodiff as ad
 from probcast.autodiff import Tensor
-from probcast.binning import discretize
+from probcast.binning import BinSpec, discretize
 from probcast.grid import SplitPlan
 from probcast.nn import Adam, BatchNorm2d
 from probcast.resnet import (PlateauSchedule, ResNet, ResNetConfig,
-                             TrainingSchedule, build_samples,
+                             TrainingSchedule, _batch_loss, build_samples,
                              evaluate_loss, fit_statistics, train)
 from probcast.synth import SynthConfig, synth_generate
 
@@ -256,6 +257,57 @@ class TestTraining:
         lines = hist.to_csv().strip().split("\n")
         assert lines[0] == "epoch,train_loss,val_loss,lr,seconds"
         assert len(lines) == 3
+
+
+class TestPaperShapeMemory:
+    """tracemalloc peaks at the paper's width (100 bins and channels, k 5, 16x32
+    grid) with 3 blocks and batch 8, in units of one f32 activation (1.64 MB)."""
+
+    B, H, W = 8, 16, 32
+    act = B * 100 * H * W * 4
+
+    def _model(self):
+        cfg = toy_config(n_blocks=3, n_bins=100, kernel=5)
+        model = ResNet(cfg, seed=3)
+        identity_stats(model, 2)
+        model.binspec = BinSpec(0.0, 1.0, cfg.n_bins)
+        x = np.random.default_rng(8).normal(size=(self.B, 2, self.H, self.W))
+        return model, x.astype(np.float32)
+
+    @staticmethod
+    def _traced_peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_training_step_peak(self):
+        """Forward plus backward peaks near 20 activations: each block's graph
+        keeps the conv input, x-hat and two 1-byte masks (about 2.5). A graph
+        that also holds every op output until backward reaches it peaks near 35."""
+        model, x = self._model()
+        y = np.random.default_rng(9).integers(0, 100, size=(self.B, self.H, self.W))
+
+        def step():
+            _batch_loss(model, x, y, training=True, rng=np.random.default_rng(1)).backward()
+
+        _, peak = self._traced_peak(step)
+        assert all(p.grad is not None for _, p in model.parameters())
+        assert peak < 24 * self.act, f"training step peak {peak / self.act:.1f} activations"
+
+    def test_predict_densities_peak(self):
+        """Beyond its f64 outputs, inference holds the trunk's two activations and
+        one conv's transients, about 11 activations. Recording a graph would
+        hold every block's outputs too, near 29."""
+        model, x = self._model()
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        dens, peak = self._traced_peak(
+            lambda: model.predict_densities(x, rngs, dropout_enabled=True, batch_size=8))
+        out = sum(d.probs.nbytes for d in dens)
+        assert peak - out < 15 * self.act, \
+            f"inference peak {(peak - out) / self.act:.1f} activations beyond its outputs"
 
 
 class TestPrediction:
