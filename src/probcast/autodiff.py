@@ -23,6 +23,7 @@ import threading
 import numpy as np
 
 PROB_FLOOR = 1e-12  # probability floor applied before logs in the CE loss
+LAYER_NORM_EPS = 1e-5  # added to each sample's variance in layer_norm
 
 
 class _Mode(threading.local):
@@ -184,10 +185,6 @@ def _into(op, a: np.ndarray, b) -> np.ndarray:
     return op(a, b)
 
 
-def _as_const(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
 def add(x: Tensor, y: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors (the skip connection)."""
     if x.data.shape != y.data.shape:
@@ -300,7 +297,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = np.empty((B, C_out, H * W), dtype=np.result_type(w2, xpad))
     for i, cols in sample_columns(xpad):
         np.matmul(w2, cols, out=out[i])
-    out = (out + b.data[:, None]).reshape(B, C_out, H, W)
+    out = _into(np.add, out, b.data[:, None]).reshape(B, C_out, H, W)
 
     def vjp(g):
         xpad = _pad_periodic(xd, p)
@@ -370,12 +367,12 @@ def softmax(x: Tensor, axis: int = 1) -> Tensor:
     return Tensor(probs, _parents=(x,), _vjp=vjp)
 
 
-def sparse_categorical_cross_entropy(probs: Tensor, true_bins: np.ndarray,
-                                     bin_axis: int = 1) -> Tensor:
+def sparse_categorical_cross_entropy(probs: Tensor, true_bins: np.ndarray) -> Tensor:
     """Mean of -log p(true bin), with p floored at PROB_FLOOR before the log.
 
-    true_bins has the shape of probs with the bin axis removed.
+    Bins lie on axis 1 of probs; true_bins has probs' shape without that axis.
     """
+    bin_axis = 1
     bins = np.asarray(true_bins)
     pd = probs.data  # the vjp reads its dtype and layout; softmax's vjp keeps it anyway
     n_bins = pd.shape[bin_axis]
@@ -398,7 +395,7 @@ def sparse_categorical_cross_entropy(probs: Tensor, true_bins: np.ndarray,
 
 def mse_loss(pred: Tensor, target) -> Tensor:
     """Mean squared difference against a constant target."""
-    t = _as_const(target)
+    t = target.data if isinstance(target, Tensor) else np.asarray(target)
     if pred.data.shape != t.shape:
         raise ValueError(f"mse shape mismatch {pred.data.shape} vs {t.shape}")
     diff = pred.data - t
@@ -452,8 +449,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mean: np.ndarray,
                       (0, 2, 3) if stats_from_batch else None)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each sample over (C, H, W), then scale/shift per channel."""
     axes = (1, 2, 3)
     return _normalize(x, gamma, beta, x.data.mean(axis=axes, keepdims=True),
-                      x.data.var(axis=axes, keepdims=True), eps, axes)
+                      x.data.var(axis=axes, keepdims=True), LAYER_NORM_EPS, axes)

@@ -74,9 +74,10 @@ class DensityGrid:
         if self.probs.shape[-1] != self.spec.n_bins:
             raise ValueError("density bin axis does not match spec")
 
-    def validate(self, tol: float = NORMALIZATION_TOL) -> np.ndarray:
-        """The f64 probabilities, once every entry lies in [-tol, 1 + tol]
-        and every mass within tol of 1; the one density check of scoring."""
+    def validate(self) -> np.ndarray:
+        """The f64 probabilities, once every entry lies in [-tol, 1 + tol] and every
+        mass within tol = NORMALIZATION_TOL of 1; the one density check of scoring."""
+        tol = NORMALIZATION_TOL
         p = self.probs.astype(np.float64, copy=False)
         # written so that NaN, which fails every comparison, is rejected
         if not (p.min() >= -tol and p.max() <= 1 + tol):

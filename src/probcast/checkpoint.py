@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .binning import BinSpec
-from .gfb import ByteReader
+from .gfb import ByteReader, encode_name
 
 MAGIC = b"PWNN"
 VERSION = 1
@@ -33,12 +33,9 @@ def save_checkpoint(path, config: dict, arrays: list) -> None:
     parts.append(cfg)
     parts.append(struct.pack("<I", len(arrays)))
     for name, arr in arrays:
-        raw = name.encode("utf-8")
         arr = np.asarray(arr, dtype="<f4")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+        parts.append(encode_name(name))
+        parts.append(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
         parts.append(arr.tobytes())
     Path(path).write_bytes(b"".join(parts))
 
@@ -66,14 +63,9 @@ def _read_checkpoint(r: ByteReader, path):
     (n_arrays,) = r.unpack("<I")
     arrays = []
     for _ in range(n_arrays):
-        (name_len,) = r.unpack("<H")
-        try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"undecodable array name: {exc}") from exc
+        name = r.name("array")
         (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
-        arrays.append((name, r.take_f32(shape)))
+        arrays.append((name, r.take_f32(r.unpack(f"<{ndim}I"))))
     if r.remaining:
         raise CheckpointError(f"{r.remaining} trailing bytes in checkpoint")
     return config, arrays

@@ -20,7 +20,8 @@ from .binning import BinSpec, DensityGrid, discretize, expectation
 from .contours import contours_to_csv, contours_to_svg, probability_contours
 from .ensemble import ensemble_spread, generate_ensemble, linear_pool
 from .gfb import json_text, load_dataset, save_dataset
-from .grid import SPLIT_NAMES, GridSpec, SplitPlan, climatology, persistence_forecast
+from .grid import (DEFAULT_SPLIT, SPLIT_NAMES, GridSpec, SplitPlan, climatology,
+                   persistence_forecast)
 from .resnet import ResNet, ResNetConfig, TrainingSchedule, build_samples, train
 from .stacking import LearnerOutput, StackModel, average_combine, stack_predict, train_stack
 from .synth import SynthConfig, synth_generate
@@ -45,8 +46,26 @@ def _parse_varlist(text: str) -> list:
     return out
 
 
-def _parse_split(text: str):
-    parts = [float(p) for p in text.split(",")]
+def _parse_channel(text: str) -> tuple:
+    """'z:500' -> ('z', 500); exactly one channel."""
+    channels = _parse_varlist(text)
+    if len(channels) != 1:
+        raise argparse.ArgumentTypeError(f"needs one channel name:level, got {text!r}")
+    return channels[0]
+
+
+def _parse_candidates(text: str) -> list:
+    """'z:200;z:200+z:850' -> [('z:200', [('z', 200)]), ('z:200+z:850', [...])]."""
+    return [(c.strip(), _parse_varlist(c.replace("+", ",")))
+            for c in text.split(";") if c.strip()]
+
+
+def _parse_floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _parse_split(text: str) -> tuple:
+    parts = _parse_floats(text)
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("--split needs 4 fractions")
     return parts
@@ -82,8 +101,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     ds = load_dataset(args.data)
     splits = SplitPlan.from_fractions(ds.n_time, *args.split)
-    cfg = ResNetConfig(inputs=_parse_varlist(args.inputs),
-                       target=_parse_varlist(args.target)[0],
+    cfg = ResNetConfig(inputs=args.inputs, target=args.target,
                        lead_hours=args.lead_hours, n_blocks=args.blocks,
                        n_bins=args.bins, dropout_rate=args.dropout,
                        kernel=args.kernel)
@@ -233,7 +251,7 @@ def cmd_evaluate(args) -> int:
 def cmd_baselines(args) -> int:
     ds = load_dataset(args.data)
     splits = SplitPlan.from_fractions(ds.n_time, *args.split)
-    variable, level = _parse_varlist(args.target)[0]
+    variable, level = args.target
     pred, truth = persistence_forecast(ds, variable, level, args.lead_hours,
                                        splits.range(args.split_name))
     clim = climatology(ds, variable, level, splits.train)
@@ -253,22 +271,16 @@ def cmd_baselines(args) -> int:
 def cmd_explore(args) -> int:
     ds = load_dataset(args.data)
     splits = SplitPlan.from_fractions(ds.n_time, *args.split)
-    base = _parse_varlist(args.base_inputs)
-    target = _parse_varlist(args.target)[0]
     sched = TrainingSchedule(initial_lr=args.lr, max_epochs=args.epochs,
                              batch_size=args.batch_size)
     spec = exploration.ExperimentSpec(
-        name="benchmark", base_inputs=base, target=target,
+        name="benchmark", base_inputs=args.base_inputs, target=args.target,
         lead_hours=args.lead_hours, n_blocks=args.blocks, n_bins=args.bins,
         n_members=args.members, seed=args.seed)
     _, (bench_mse, _, _) = exploration.run_benchmark(spec, ds, splits, sched)
     rows = []
     specs = [asdict(spec)]
-    for candidate in args.levels.split(";"):
-        candidate = candidate.strip()
-        if not candidate:
-            continue
-        extra = _parse_varlist(candidate.replace("+", ","))
+    for candidate, extra in args.levels:
         cspec = replace(spec, name=candidate, extra_inputs=extra)
         rows.append(exploration.run_candidate(cspec, bench_mse, ds, splits, sched))
         specs.append(asdict(cspec))
@@ -295,8 +307,7 @@ def cmd_contours(args) -> int:
             raise SystemExit(f"--sample must be in [0, {probs.shape[0]})")
         probs = probs[args.sample]
     tm = cdf_threshold(DensityGrid(probs, pooled.spec), args.threshold)
-    levels = tuple(float(v) for v in args.contour_levels.split(","))
-    contours = probability_contours(tm, grid, levels=levels)
+    contours = probability_contours(tm, grid, levels=args.contour_levels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "contours.csv").write_text(contours_to_csv(contours))
@@ -334,16 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--data", required=True)
     tp.add_argument("--out", required=True)
     tp.add_argument("--seed", type=int, required=True)
-    tp.add_argument("--inputs", default="z:500,t:850",
+    tp.add_argument("--inputs", type=_parse_varlist, default="z:500,t:850",
                     help="comma list of input channels name:level")
-    tp.add_argument("--target", default="z:500")
+    tp.add_argument("--target", type=_parse_channel, default="z:500")
     tp.add_argument("--lead-hours", type=int, default=72)
     tp.add_argument("--blocks", type=int, default=2)
     tp.add_argument("--bins", type=int, default=10)
     tp.add_argument("--kernel", type=int, default=5)
     tp.add_argument("--dropout", type=float, default=0.1,
                     help="dropout rate in [0, 1); 0 disables dropout")
-    tp.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15],
+    tp.add_argument("--split", type=_parse_split, default=DEFAULT_SPLIT,
                     help="train,neural_val,stacked_val,test fractions")
     tp.add_argument("--lr", type=_positive(float), default=1e-3)
     tp.add_argument("--epochs", type=_positive(int), default=20)
@@ -356,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--out", required=True)
     ep.add_argument("--seed", type=int, required=True)
     ep.add_argument("--members", type=_positive(int), default=32)
-    ep.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15])
+    ep.add_argument("--split", type=_parse_split, default=DEFAULT_SPLIT)
     ep.add_argument("--split-name", default="test", choices=SPLIT_NAMES)
     ep.set_defaults(func=cmd_ensemble)
 
@@ -379,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bp = sub.add_parser("baselines", help="persistence and climatology RMSE")
     bp.add_argument("--data", required=True)
-    bp.add_argument("--target", default="z:500")
+    bp.add_argument("--target", type=_parse_channel, default="z:500")
     bp.add_argument("--lead-hours", type=int, default=72)
-    bp.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15])
+    bp.add_argument("--split", type=_parse_split, default=DEFAULT_SPLIT)
     bp.add_argument("--split-name", default="test", choices=SPLIT_NAMES)
     bp.add_argument("--out", default=None)
     bp.set_defaults(func=cmd_baselines)
@@ -390,16 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     xp.add_argument("--data", required=True)
     xp.add_argument("--out", required=True)
     xp.add_argument("--seed", type=int, required=True)
-    xp.add_argument("--base-inputs", default="z:500,t:850")
-    xp.add_argument("--target", default="z:500")
-    xp.add_argument("--levels", required=True,
+    xp.add_argument("--base-inputs", type=_parse_varlist, default="z:500,t:850")
+    xp.add_argument("--target", type=_parse_channel, default="z:500")
+    xp.add_argument("--levels", type=_parse_candidates, required=True,
                     help="candidate extra-channel sets, ';'-separated, channels "
                          "joined by '+', e.g. 'z:200;z:200+z:850'")
     xp.add_argument("--lead-hours", type=int, default=72)
     xp.add_argument("--blocks", type=int, default=1)
     xp.add_argument("--bins", type=int, default=10)
     xp.add_argument("--members", type=_positive(int), default=8)
-    xp.add_argument("--split", type=_parse_split, default=[0.6, 0.1, 0.15, 0.15])
+    xp.add_argument("--split", type=_parse_split, default=DEFAULT_SPLIT)
     xp.add_argument("--lr", type=_positive(float), default=1e-3)
     xp.add_argument("--epochs", type=_positive(int), default=8)
     xp.add_argument("--batch-size", type=_positive(int), default=32)
@@ -410,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--out", required=True)
     cp.add_argument("--sample", type=int, default=0)
     cp.add_argument("--threshold", type=float, required=True)
-    cp.add_argument("--contour-levels", default="0.1,0.5,0.9")
+    cp.add_argument("--contour-levels", type=_parse_floats, default="0.1,0.5,0.9")
     cp.set_defaults(func=cmd_contours)
     return p
 

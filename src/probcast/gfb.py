@@ -60,10 +60,7 @@ def save_dataset(ds: Dataset, path) -> None:
     parts.append(ds.grid.longitudes_deg.astype("<f8").tobytes())
     parts.append(struct.pack("<qI", ds.epoch_hours_start, ds.step_hours))
     for name, level in ds.variables:
-        raw = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<i", _encode_level(level)))
+        parts += [encode_name(name), struct.pack("<i", _encode_level(level))]
     with open(path, "wb") as f:
         f.write(b"".join(parts))
         # The payload goes from the array to the file without a bytes copy.
@@ -86,6 +83,12 @@ def save_dataset(ds: Dataset, path) -> None:
 def json_text(obj) -> str:
     """The text of every JSON artifact: sorted keys, 2-space indent, final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def encode_name(name: str) -> bytes:
+    """A name record of GFB1 and PWNN: u16 byte length, then the UTF-8 bytes."""
+    raw = name.encode("utf-8")
+    return struct.pack("<H", len(raw)) + raw
 
 
 class ByteReader:
@@ -136,6 +139,14 @@ class ByteReader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def name(self, what: str) -> str:
+        """The next name record (see encode_name); what names it in the error."""
+        (n,) = self.unpack("<H")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"undecodable {what} name: {exc}") from exc
+
 
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as f:
@@ -148,11 +159,7 @@ def load_dataset(path) -> Dataset:
         epoch_start, step_hours = r.unpack("<qI")
         variables = []
         for _ in range(n_var):
-            (name_len,) = r.unpack("<H")
-            try:
-                name = r.take(name_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise GFBDecodeError(f"undecodable variable name: {exc}") from exc
+            name = r.name("variable")
             (level_code,) = r.unpack("<i")
             variables.append((name, _decode_level(level_code)))
         shape = (n_time, n_var, n_lat, n_lon)

@@ -10,9 +10,6 @@ import numpy as np
 SURFACE = "surface"
 CONSTANT = "constant"
 
-VarKey = tuple  # (name, level) with level an int in hPa or SURFACE/CONSTANT
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Regular latitude-longitude grid.
@@ -34,12 +31,10 @@ class GridSpec:
             raise ValueError("grid needs at least one latitude and one longitude")
         if np.any(np.abs(lat) > 90.0):
             raise ValueError("latitudes must lie in [-90, 90]")
-        dlat = np.diff(lat)
-        if lat.size > 1 and not (np.all(dlat > 0) or np.all(dlat < 0)):
-            raise ValueError("latitudes must be strictly monotonic")
-        dlon = np.diff(lon)
-        if lon.size > 1 and not (np.all(dlon > 0) or np.all(dlon < 0)):
-            raise ValueError("longitudes must be strictly monotonic")
+        for name, deg in (("latitudes", lat), ("longitudes", lon)):
+            step = np.diff(deg)
+            if deg.size > 1 and not (np.all(step > 0) or np.all(step < 0)):
+                raise ValueError(f"{name} must be strictly monotonic")
         if lon.size > 1 and abs(lon[-1] - lon[0]) >= 360.0:
             raise ValueError("longitude span must be below 360 degrees")
 
@@ -138,6 +133,7 @@ class Dataset:
 
 
 SPLIT_NAMES = ("train", "neural_validation", "stacked_validation", "test")
+DEFAULT_SPLIT = (0.6, 0.1, 0.15, 0.15)  # fractions of the time axis, in SPLIT_NAMES order
 
 
 @dataclass(frozen=True)
@@ -166,8 +162,9 @@ class SplitPlan:
             raise KeyError(f"unknown split {name!r}") from None
 
     @classmethod
-    def from_fractions(cls, n_time: int, train: float = 0.6, neural_validation: float = 0.1,
-                       stacked_validation: float = 0.15, test: float = 0.15) -> "SplitPlan":
+    def from_fractions(cls, n_time: int, *fractions: float) -> "SplitPlan":
+        """Ranges from fractions in SPLIT_NAMES order; DEFAULT_SPLIT when none are given."""
+        train, neural_validation, stacked_validation, test = fractions or DEFAULT_SPLIT
         total = train + neural_validation + stacked_validation + test
         if total > 1.0 + 1e-9:
             raise ValueError("split fractions exceed 1")

@@ -178,6 +178,16 @@ def fit(model, rows: np.ndarray, batch_loss, val_loss, sched: TrainingSchedule,
     return history
 
 
+def mean_loss(batch_loss, rows: np.ndarray, batch_size: int) -> float:
+    """Size-weighted mean of batch_loss(take) over rows in batches, with no graph."""
+    total = 0.0
+    with ad.no_grad():
+        for start in range(0, rows.size, batch_size):
+            take = rows[start:start + batch_size]
+            total += batch_loss(take).item() * take.size
+    return total / rows.size
+
+
 class ResNet:
     """One learner: weights, bin spec, and input standardization statistics."""
 
@@ -269,10 +279,9 @@ class ResNet:
         return self.conv_out(y)
 
     def predict_density(self, x_raw: np.ndarray, dropout_enabled: bool = False,
-                        rng: np.random.Generator | None = None,
-                        batch_size: int = 64) -> DensityGrid:
+                        rng: np.random.Generator | None = None) -> DensityGrid:
         """Normalized per-gridpoint densities, probs shaped (B, H, W, n_bins)."""
-        return self.predict_densities(x_raw, [rng], dropout_enabled, batch_size)[0]
+        return self.predict_densities(x_raw, [rng], dropout_enabled)[0]
 
     def predict_densities(self, x_raw: np.ndarray, rngs: list,
                           dropout_enabled: bool = True,
@@ -357,14 +366,9 @@ def _batch_loss(model: ResNet, X: np.ndarray, y, training: bool,
 
 def evaluate_loss(model: ResNet, X: np.ndarray, y, batch_size: int = 64) -> float:
     """Mean loss over samples with dropout off and frozen normalization."""
-    n = X.shape[0]
-    total = 0.0
-    with ad.no_grad():
-        for i in range(0, n, batch_size):
-            stop = min(i + batch_size, n)
-            total += _batch_loss(model, X[i:stop], y[i:stop], training=False,
-                                 rng=None).item() * (stop - i)
-    return float(total / n)
+    return mean_loss(lambda take: _batch_loss(model, X[take], y[take], training=False,
+                                              rng=None),
+                     np.arange(X.shape[0]), batch_size)
 
 
 def train(model: ResNet, ds: Dataset, train_split: tuple, val_split: tuple,

@@ -17,7 +17,7 @@ from .autodiff import Tensor
 from .binning import BinSpec, DensityGrid
 from .checkpoint import load_model, restore_state, save_model, snap_f32
 from .nn import Dense
-from .resnet import TrainingSchedule, fit
+from .resnet import TrainingSchedule, fit, mean_loss
 
 logger = logging.getLogger(__name__)
 
@@ -85,15 +85,15 @@ def assemble_stack_inputs(outputs: list, stats=None):
 class StackModel:
     """Dense softmax network over learner-expectation features."""
 
-    def __init__(self, cfg: StackConfig, n_features: int, seed: int,
-                 dtype=np.float32):
+    dtype = np.float32
+
+    def __init__(self, cfg: StackConfig, n_features: int, seed: int):
         self.cfg = cfg
         self.n_features = int(n_features)
         self.seed = int(seed)
-        self.dtype = dtype
         rng = np.random.default_rng(np.random.SeedSequence([0x57AC, self.seed]))
         widths = [self.n_features] + [cfg.hidden_width] * cfg.hidden_layers + [cfg.n_bins]
-        self.layers = [Dense(a, b, rng, dtype) for a, b in zip(widths[:-1], widths[1:])]
+        self.layers = [Dense(a, b, rng, self.dtype) for a, b in zip(widths[:-1], widths[1:])]
         self.feature_mean = np.zeros(self.n_features)
         self.feature_std = np.ones(self.n_features)
         self.binspec: BinSpec | None = None
@@ -141,7 +141,6 @@ class StackModel:
 
 
 def train_stack(outputs: list, true_bins: np.ndarray, binspec: BinSpec,
-                cfg: StackConfig | None = None,
                 sched: TrainingSchedule | None = None, seed: int = 0,
                 batch_rows: int = 8192) -> StackModel:
     """Fit the meta-learner on held-out learner predictions.
@@ -149,10 +148,6 @@ def train_stack(outputs: list, true_bins: np.ndarray, binspec: BinSpec,
     Validation is a random 10% shuffle split of the training rows (the rows
     themselves come from data the base learners never trained on).
     """
-    if cfg is None:
-        cfg = StackConfig(n_bins=binspec.n_bins)
-    if cfg.n_bins != binspec.n_bins:
-        raise ValueError("stack output width must match the bin spec")
     if sched is None:
         sched = TrainingSchedule(initial_lr=1e-3, max_epochs=40, batch_size=batch_rows)
     _, (mean, std) = assemble_stack_inputs(outputs)
@@ -164,7 +159,8 @@ def train_stack(outputs: list, true_bins: np.ndarray, binspec: BinSpec,
     if np.unique(y).size < 2:
         logger.warning("stack targets collapse to a single bin; training anyway")
 
-    model = StackModel(cfg, n_features=feats.shape[1], seed=seed)
+    model = StackModel(StackConfig(n_bins=binspec.n_bins), n_features=feats.shape[1],
+                       seed=seed)
     model.feature_mean, model.feature_std = stats
     model.binspec = binspec
     feats = feats.astype(model.dtype)  # once, not per batch in forward
@@ -180,16 +176,8 @@ def train_stack(outputs: list, true_bins: np.ndarray, binspec: BinSpec,
         probs = ad.softmax(model.forward(feats[take]), axis=1)
         return ad.sparse_categorical_cross_entropy(probs, y[take])
 
-    def val_loss():
-        total = 0.0
-        with ad.no_grad():
-            for i in range(0, val_idx.size, batch_rows):
-                take = val_idx[i:i + batch_rows]
-                total += rows_loss(take).item() * take.size
-        return total / val_idx.size
-
-    fit(model, tr_idx, rows_loss, val_loss, sched, shuffle_rng, log=logger,
-        label="stack epoch")
+    fit(model, tr_idx, rows_loss, lambda: mean_loss(rows_loss, val_idx, batch_rows),
+        sched, shuffle_rng, log=logger, label="stack epoch")
     return model
 
 

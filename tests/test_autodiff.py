@@ -622,6 +622,30 @@ def test_conv2d_graph_holds_no_padded_input():
     assert held < y.data.nbytes + pad_bytes / 2, f"graph holds {held / 1e6:.2f} MB"
 
 
+def test_conv2d_adds_bias_in_place():
+    """At paper shape, a forward under no_grad makes one output, not a second for the bias."""
+    B, C, H, W, k = 8, 100, 16, 32, 5
+    p = k // 2
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(B, C, H, W)).astype(np.float32))
+    w = Tensor((rng.normal(size=(C, C, k, k)) * 0.02).astype(np.float32))
+    b = Tensor(rng.normal(size=C).astype(np.float32))
+    out_bytes = B * C * H * W * 4
+    budget = (out_bytes                                     # the output
+              + C * k * k * H * W * 4                       # one sample's im2col buffer
+              + B * C * (H + 2 * p) * (W + 2 * p) * 4       # the padded input
+              + out_bytes // 2)                             # 9.88 MB in all
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            y = ad.conv2d(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.data.dtype == np.float32
+    assert peak < budget, f"traced peak {peak / 1e6:.2f} MB, budget {budget / 1e6:.2f} MB"
+
+
 class TestNormLayers:
     def test_batch_norm_gradients(self):
         rng = np.random.default_rng(12)

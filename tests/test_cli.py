@@ -300,6 +300,29 @@ class TestPipeline:
         assert err.startswith("error:") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, flag", [
+        (["train", "--inputs", "z"], "--inputs"),
+        (["train", "--target", "z"], "--target"),
+        (["train", "--target", "z:500,t:850"], "--target"),
+        (["baselines", "--target", "z"], "--target"),
+        (["explore", "--base-inputs", "z", "--levels", "z:850"], "--base-inputs"),
+        (["explore", "--levels", "z"], "--levels"),
+        (["contours", "--contour-levels", "0.1,x"], "--contour-levels"),
+    ])
+    def test_malformed_channel_flag_is_usage_error(self, pipeline, cmd, flag, tmp_path,
+                                                   capsys):
+        root, data = pipeline
+        needs = {"train": ["--data", data, "--seed", 1],
+                 "baselines": ["--data", data],
+                 "explore": ["--data", data, "--seed", 1],
+                 "contours": ["--ensemble", root / "m1_test", "--threshold", 0]}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*cmd, *needs[cmd[0]], "--out", out)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_baselines_command(self, pipeline, capsys):
         root, data = pipeline
         assert run("baselines", "--data", data, "--target", "z:500",

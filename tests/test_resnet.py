@@ -328,7 +328,8 @@ class TestPrediction:
         fit_statistics(model, ds, splits.train)
         X, _, _ = build_samples(ds, cfg, splits.test)
         d = model.predict_density(X[:8])
-        d.validate(tol=1e-6)
+        d.validate()
+        assert np.abs(d.probs.sum(axis=-1) - 1.0).max() <= 1e-6
         assert d.probs.shape == (8, 8, 16, cfg.n_bins)
 
     def test_dropout_streams_differ(self, toy_data):

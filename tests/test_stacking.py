@@ -137,7 +137,8 @@ class TestStackPredict:
     def test_densities_are_valid(self, trained):
         spec, truth, learners, model = trained
         fused = stack_predict(model, learners)
-        fused.validate(tol=1e-6)
+        fused.validate()
+        assert np.abs(fused.probs.sum(axis=-1) - 1.0).max() <= 1e-6
         assert fused.probs.shape == truth.shape + (spec.n_bins,)
 
     def test_pointwise_application_commutes_with_permutation(self, trained):
