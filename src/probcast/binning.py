@@ -15,6 +15,18 @@ logger = logging.getLogger(__name__)
 # per-point mass is off 1 by more than this.
 NORMALIZATION_TOL = 1e-4
 
+# Scoring works on density-sized data in row chunks of this many elements:
+# 2 MB per f64 (rows, n_bins) temporary.
+CHUNK_ELEMS = 2 ** 18
+
+
+def row_chunks(n_rows: int, n_bins: int):
+    """Slices covering range(n_rows) in order, each of at most
+    CHUNK_ELEMS // n_bins rows (at least one)."""
+    rows = max(1, CHUNK_ELEMS // n_bins)
+    for i in range(0, n_rows, rows):
+        yield slice(i, i + rows)
+
 
 @dataclass(frozen=True)
 class BinSpec:
@@ -136,9 +148,21 @@ def density_stddev(d: DensityGrid) -> np.ndarray:
     p = d.validate()
     x = d.spec.representatives
     mu = p @ x
-    dev2 = (x[None, :] - mu[..., None].reshape(-1, 1)) ** 2
-    var = (dev2 * p.reshape(-1, p.shape[-1])).sum(axis=-1)
+    flat_p = p.reshape(-1, x.size)
+    flat_mu = mu.reshape(-1)
+    var = np.empty(flat_mu.size)
+    for rows in row_chunks(flat_mu.size, x.size):
+        var[rows] = _variance_rows(flat_p[rows], flat_mu[rows], x)
     return np.sqrt(np.maximum(var, 0.0)).reshape(mu.shape)
+
+
+def _variance_rows(p: np.ndarray, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum((x - mu)**2 * p) over bins for (rows, n) densities and (rows,) means,
+    through one (rows, n) temporary that goes on return."""
+    dev2 = x - mu[:, None]
+    np.square(dev2, out=dev2)
+    dev2 *= p
+    return dev2.sum(axis=-1)
 
 
 def inbuilt_rmse(ds: Dataset, variable: str, level, spec: BinSpec, split: tuple) -> float:

@@ -21,8 +21,11 @@ from .resnet import TrainingSchedule, fit, mean_loss
 
 logger = logging.getLogger(__name__)
 
-# Rows per forward pass in StackModel.predict_probs; bounds its activations.
-PREDICT_ROWS = 65536
+# Rows per forward pass in StackModel.predict_probs, the stack's training
+# batch; bounds its activations ((rows, 36) f32 is 1.2 MB). Full chunks give
+# each row the bits of a single pass; a short last chunk (under about 770
+# rows) may take OpenBLAS's small-matrix path and round its rows differently.
+PREDICT_ROWS = 8192
 
 
 @dataclass
@@ -107,7 +110,8 @@ class StackModel:
     def forward(self, feats: np.ndarray) -> Tensor:
         x = Tensor(np.asarray(feats, dtype=self.dtype))
         for layer in self.layers[:-1]:
-            x = ad.leaky_relu(layer(x), 0.0)  # plain rectifier
+            x = layer(x)  # rebound first, so no_grad frees the layer input
+            x = ad.leaky_relu(x, 0.0)  # plain rectifier
         return self.layers[-1](x)
 
     def predict_probs(self, feats: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@
 Conventions fixed here and relied on by the tests:
   - Every density score takes its probabilities from DensityGrid.validate,
     so a density with entries outside [0, 1] or mass off 1 is refused.
+  - Density-sized temporaries are made one binning.row_chunks chunk at a
+    time; every row keeps its own arithmetic, so no score depends on it.
   - RMSE and MSE weight each gridpoint by normalized cos(latitude).
   - The forecast CDF behind the CRPS is a step function with the bin mass
     placed at the bin's representative (lower-bound) value, matching how
@@ -21,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .binning import DensityGrid, density_stddev, discretize, expectation
+from .binning import DensityGrid, density_stddev, discretize, expectation, row_chunks
 from .gfb import json_text
 from .grid import GridSpec, latitude_weights
 
@@ -86,24 +88,34 @@ def crps(d: DensityGrid, obs) -> np.ndarray:
         raise ValueError("observations must be finite")
 
     x = d.spec.representatives
-    n = x.size
-    flat_p = p.reshape(-1, n)
+    flat_p = p.reshape(-1, x.size)
     flat_y = obs.reshape(-1)
     out = np.empty(flat_y.size)
-    seg_a = x[:-1]
-    width = d.spec.width
-    chunk = max(1, 2 ** 18 // max(n, 1))  # 2 MB of f64 per (chunk, n) temporary
-    for i in range(0, flat_y.size, chunk):
-        pc = flat_p[i:i + chunk]
-        yc = flat_y[i:i + chunk]
-        C = np.cumsum(pc, axis=1)
-        F = C[:, :-1]
-        below = np.clip(yc[:, None] - seg_a[None, :], 0.0, width)
-        seg = (F ** 2 * below + (F - 1.0) ** 2 * (width - below)).sum(axis=1)
-        lo_tail = np.maximum(x[0] - yc, 0.0)               # F=0, obs below support
-        hi_tail = C[:, -1] ** 2 * np.maximum(yc - x[-1], 0.0)
-        out[i:i + chunk] = seg + lo_tail + hi_tail
+    for rows in row_chunks(flat_y.size, x.size):
+        out[rows] = _crps_rows(flat_p[rows], flat_y[rows], x, d.spec.width)
     return out.reshape(obs.shape)
+
+
+def _crps_rows(p: np.ndarray, y: np.ndarray, x: np.ndarray, width: float) -> np.ndarray:
+    """crps of (rows, n) densities against (rows,) observations.
+
+    It holds the CDF C and two (rows, n - 1) arrays, written in place in the
+    order of F**2 * below + (F - 1)**2 * (width - below); they go on return.
+    """
+    C = np.cumsum(p, axis=1)
+    hi_tail = C[:, -1] ** 2 * np.maximum(y - x[-1], 0.0)
+    lo_tail = np.maximum(x[0] - y, 0.0)               # F=0, obs below support
+    F = C[:, :-1]
+    below = np.subtract.outer(y, x[:-1])
+    np.clip(below, 0.0, width, out=below)
+    seg = np.square(F)
+    seg *= below
+    np.subtract(F, 1.0, out=F)
+    np.square(F, out=F)
+    np.subtract(width, below, out=below)
+    F *= below
+    seg += F
+    return seg.sum(axis=1) + lo_tail + hi_tail
 
 
 def mean_crps(d: DensityGrid, obs) -> float:
@@ -148,15 +160,36 @@ def _topk_matches(d: DensityGrid, true_bins, ks) -> dict:
     """{k: topk_match(d, true_bins, k)} for every k, from one check and one sort.
 
     The first k columns of a stable descending sort are the top-k set for
-    every k, so one sort serves all of them exactly.
+    every k, so one sort serves all of them exactly. true_bins must hold an
+    integer bin index in [0, n_bins) for every point of the density.
     """
+    n_bins = d.spec.n_bins
     for k in ks:
-        if not 1 <= k <= d.spec.n_bins:
-            raise ValueError(f"k must be in [1, {d.spec.n_bins}]")
-    p = d.validate().reshape(-1, d.spec.n_bins)
+        if not 1 <= k <= n_bins:
+            raise ValueError(f"k must be in [1, {n_bins}]")
+    p = d.validate()
+    true_bins = np.asarray(true_bins)
+    if true_bins.shape != p.shape[:-1]:
+        raise ValueError(f"true bins shape {true_bins.shape} does not match "
+                         f"density {p.shape[:-1]}")
+    if not np.issubdtype(true_bins.dtype, np.integer):
+        raise ValueError(f"true bins must be integer indices, got {true_bins.dtype}")
+    if not (true_bins.min() >= 0 and true_bins.max() < n_bins):
+        raise ValueError(f"true bins must lie in [0, {n_bins})")
+    flat_p = p.reshape(-1, n_bins)
+    flat_bins = true_bins.reshape(-1, 1)
+    hits = np.zeros(len(ks), dtype=np.int64)
+    for rows in row_chunks(flat_bins.size, n_bins):
+        hits += _topk_hits(flat_p[rows], flat_bins[rows], ks)
+    return {k: float(100.0 * (int(h) / flat_bins.size)) for k, h in zip(ks, hits)}
+
+
+def _topk_hits(p: np.ndarray, true_bins: np.ndarray, ks) -> list:
+    """For each k, the number of (rows, n) density rows whose (rows, 1) true bin
+    is among their k most probable; the sort's arrays go on return."""
     top = np.argsort(-p, axis=1, kind="stable")[:, :max(ks)]
-    hit = top == np.asarray(true_bins).reshape(-1, 1)
-    return {k: float(100.0 * hit[:, :k].any(axis=1).mean()) for k in ks}
+    hit = top == true_bins
+    return [np.count_nonzero(hit[:, :k].any(axis=1)) for k in ks]
 
 
 @dataclass

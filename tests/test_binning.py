@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from probcast.binning import (BinSpec, DensityGrid, density_stddev, discretize,
-                              expectation, fit_bins, inbuilt_rmse)
+from probcast.binning import (CHUNK_ELEMS, BinSpec, DensityGrid, density_stddev,
+                              discretize, expectation, fit_bins, inbuilt_rmse,
+                              row_chunks)
 from probcast.grid import Dataset, GridSpec
 from probcast.verification import (REFERENCE_BINNING, cdf_threshold, coverage_stats,
                                    crps, topk_match)
@@ -205,6 +206,28 @@ class TestDensityStddev:
             var_ref = sum((x[i] - mu_ref) ** 2 * p[r, i] for i in range(100))
             assert abs(mu[r] - mu_ref) <= 1e-10 * abs(mu_ref)
             assert abs(sigma[r] - np.sqrt(var_ref)) <= 1e-10 * max(np.sqrt(var_ref), 1e-30)
+
+    def test_chunked_rows_match_per_slice_values(self):
+        """A 100-bin density of 6912 rows spans three row chunks; each time
+        slice fits in one, and the chunked result is their concatenation, bit
+        for bit."""
+        rng = np.random.default_rng(22)
+        d = DensityGrid(random_density(rng, (6, 24, 48), 100),
+                        BinSpec(40000.0, 60000.0, 100))
+        assert len(list(row_chunks(6 * 24 * 48, 100))) == 3
+        whole = density_stddev(d)
+        parts = [density_stddev(DensityGrid(d.probs[t], d.spec)) for t in range(6)]
+        assert np.array_equal(whole, np.stack(parts))
+
+
+@pytest.mark.parametrize("n_rows, n_bins", [(0, 10), (1, 10), (26214, 10),
+                                            (26215, 10), (6912, 100), (5, 2 ** 19)])
+def test_row_chunks_cover_rows_in_bounded_order(n_rows, n_bins):
+    chunks = list(row_chunks(n_rows, n_bins))
+    covered = np.concatenate([np.arange(n_rows)[c] for c in chunks] + [np.arange(0)])
+    assert np.array_equal(covered, np.arange(n_rows))
+    rows = max(1, CHUNK_ELEMS // n_bins)
+    assert all(c.stop - c.start == rows for c in chunks)
 
 
 class TestInbuiltRmse:

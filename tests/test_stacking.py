@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from probcast import stacking
 from probcast.binning import BinSpec, discretize, expectation
 from probcast.grid import GridSpec
 from probcast.resnet import TrainingSchedule
@@ -173,6 +176,38 @@ class TestStackPredict:
         p2 = tmp_path / "again.pwnn"
         back.save(p2)
         assert path.read_bytes() == p2.read_bytes()
+
+
+class TestPredictRows:
+    """predict_probs on the 147,456 rows of the benchmark's stack test split."""
+
+    @pytest.fixture(scope="class")
+    def model_and_feats(self):
+        model = StackModel(StackConfig(n_bins=10), n_features=2, seed=1)
+        feats = np.random.default_rng(23).normal(size=(147456, 2))
+        return model, feats
+
+    def test_holds_one_chunk_beyond_output(self, model_and_feats):
+        """Its (rows, 36) activations at 8192 rows are 1.2 MB each (9.4 MB at
+        65536), so the call stays within its output plus 4 MB."""
+        model, feats = model_and_feats
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = model.predict_probs(feats)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        beyond = peak - out.nbytes
+        assert beyond <= 4 * 2 ** 20, f"{beyond / 2 ** 20:.1f} MB beyond the output"
+
+    def test_chunk_size_keeps_bits(self, model_and_feats, monkeypatch):
+        """8192 divides the row count, so every row gets the bytes of a pass in
+        65536-row chunks."""
+        model, feats = model_and_feats
+        small = model.predict_probs(feats)
+        monkeypatch.setattr(stacking, "PREDICT_ROWS", 65536)
+        assert small.tobytes() == model.predict_probs(feats).tobytes()
 
 
 class TestAverageCombine:

@@ -1,17 +1,18 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from probcast.binning import (BinSpec, DensityGrid, density_stddev, discretize,
-                              expectation)
+                              expectation, row_chunks)
 from probcast.grid import GridSpec
 from probcast.verification import (REFERENCE_COVERAGE, REFERENCE_CRPS,
-                                   REFERENCE_RMSE, ScoreReport, assemble_report,
-                                   cdf_threshold, coverage_stats, crps,
-                                   mean_crps, render_report_table, topk_match,
-                                   weighted_mse_ci, weighted_rmse)
+                                   REFERENCE_RMSE, ScoreReport, _topk_matches,
+                                   assemble_report, cdf_threshold, coverage_stats,
+                                   crps, mean_crps, render_report_table,
+                                   topk_match, weighted_mse_ci, weighted_rmse)
 
 
 def random_density(rng, shape, n_bins, spec=None):
@@ -294,6 +295,35 @@ class TestTopK:
         with pytest.raises(ValueError):
             topk_match(d, np.array([0]), 5)
 
+    @pytest.mark.parametrize("bins, match", [
+        (np.array([2]), "shape"),                    # would broadcast over every point
+        (np.full((4, 3, 5), 2)[..., :4], "shape"),
+        (np.full((4, 3, 5), 99), r"\[0, 6\)"),
+        (np.full((4, 3, 5), -1), r"\[0, 6\)"),
+        (np.full((4, 3, 5), 2.7), "integer"),
+        (np.full((4, 3, 5), 2.0), "integer"),
+    ], ids=["one-element", "short-axis", "99", "-1", "2.7", "float-2.0"])
+    def test_bad_true_bins_rejected(self, bins, match):
+        d = random_density(np.random.default_rng(19), (4, 3, 5), 6)
+        with pytest.raises(ValueError, match=match):
+            topk_match(d, bins, 1)
+        with pytest.raises(ValueError, match=match):
+            _topk_matches(d, bins, range(1, 6))
+
+    def test_chunked_rows_match_one_sort(self):
+        """A tie-heavy 100-bin density of 6912 rows spans three row chunks; the
+        percentages equal those of one stable sort over all rows, bit for bit."""
+        rng = np.random.default_rng(20)
+        spec = BinSpec(0.0, 10.0, 100)
+        counts = rng.multinomial(20, np.full(100, 0.01), size=(6, 24, 48))
+        d = DensityGrid(counts / 20.0, spec)
+        bins = rng.integers(0, 100, size=(6, 24, 48))
+        assert len(list(row_chunks(bins.size, 100))) == 3
+        top = np.argsort(-d.probs.reshape(-1, 100), axis=1, kind="stable")
+        hit = top[:, :5] == bins.reshape(-1, 1)
+        expect = {k: float(100.0 * hit[:, :k].any(axis=1).mean()) for k in range(1, 6)}
+        assert _topk_matches(d, bins, range(1, 6)) == expect
+
 
 class TestCdfThreshold:
     def test_below_support_is_zero(self):
@@ -412,3 +442,19 @@ class TestScoreReport:
         assert a == b
         parsed = json.loads(a)
         assert parsed["topk"]["1"] >= 0.0
+
+    def test_report_holds_one_row_chunk(self):
+        """Scoring a 64-sample, 100-bin density (26 MB) adds at most 16 MB to
+        it: every density-sized temporary is made one row chunk at a time."""
+        rng = np.random.default_rng(21)
+        d = random_density(rng, (64, 16, 32), 100)
+        truth = rng.uniform(-1.0, 11.0, size=(64, 16, 32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assemble_report(d, truth, GridSpec.regular(16, 32), variable="z",
+                            level=500, lead_hours=72, split="test")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20, f"transient {peak / 2 ** 20:.1f} MB"
