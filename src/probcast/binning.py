@@ -28,6 +28,18 @@ def row_chunks(n_rows: int, n_bins: int):
         yield slice(i, i + rows)
 
 
+def by_rows(fn, p: np.ndarray, *points) -> np.ndarray:
+    """fn(p_rows, *point_rows) over row_chunks of (..., n_bins) p and of point
+    arrays shaped p.shape[:-1], written into one f64 array of that shape:
+    scoring's one chunk loop, whose density-sized temporaries live in fn."""
+    flat_p = p.reshape(-1, p.shape[-1])
+    flat = [a.reshape(-1) for a in points]
+    out = np.empty(len(flat_p))
+    for rows in row_chunks(*flat_p.shape):
+        out[rows] = fn(flat_p[rows], *(a[rows] for a in flat))
+    return out.reshape(p.shape[:-1])
+
+
 @dataclass(frozen=True)
 class BinSpec:
     """Equal-width discretization of one variable's value range.
@@ -88,7 +100,7 @@ class DensityGrid:
 
     def validate(self) -> np.ndarray:
         """The f64 probabilities, once every entry lies in [-tol, 1 + tol] and every
-        mass within tol = NORMALIZATION_TOL of 1; the one density check of scoring."""
+        mass within tol = NORMALIZATION_TOL of 1; scoring's one check, once per call."""
         tol = NORMALIZATION_TOL
         p = self.probs.astype(np.float64, copy=False)
         # written so that NaN, which fails every comparison, is rejected
@@ -147,13 +159,13 @@ def density_stddev(d: DensityGrid) -> np.ndarray:
     """
     p = d.validate()
     x = d.spec.representatives
-    mu = p @ x
-    flat_p = p.reshape(-1, x.size)
-    flat_mu = mu.reshape(-1)
-    var = np.empty(flat_mu.size)
-    for rows in row_chunks(flat_mu.size, x.size):
-        var[rows] = _variance_rows(flat_p[rows], flat_mu[rows], x)
-    return np.sqrt(np.maximum(var, 0.0)).reshape(mu.shape)
+    return stddev_about(p, p @ x, x)
+
+
+def stddev_about(p: np.ndarray, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """density_stddev of validated p over representatives x, around mu = p @ x."""
+    var = by_rows(lambda p, mu: _variance_rows(p, mu, x), p, mu)
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def _variance_rows(p: np.ndarray, mu: np.ndarray, x: np.ndarray) -> np.ndarray:

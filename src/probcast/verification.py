@@ -2,8 +2,9 @@
 
 Conventions fixed here and relied on by the tests:
   - Every density score takes its probabilities from DensityGrid.validate,
-    so a density with entries outside [0, 1] or mass off 1 is refused.
-  - Density-sized temporaries are made one binning.row_chunks chunk at a
+    so a density with entries outside [0, 1] or mass off 1 is refused, once
+    per score; assemble_report validates once and takes one mu = p @ x.
+  - Density-sized temporaries are made in binning.by_rows, one row chunk at a
     time; every row keeps its own arithmetic, so no score depends on it.
   - RMSE and MSE weight each gridpoint by normalized cos(latitude).
   - The forecast CDF behind the CRPS is a step function with the bin mass
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .binning import DensityGrid, density_stddev, discretize, expectation, row_chunks
+from .binning import BinSpec, DensityGrid, by_rows, discretize, stddev_about
 from .gfb import json_text
 from .grid import GridSpec, latitude_weights
 
@@ -71,6 +72,17 @@ def weighted_mse_ci(pred, truth, grid: GridSpec):
 # --- CRPS ---------------------------------------------------------------------------
 
 
+def _observations(p: np.ndarray, obs) -> np.ndarray:
+    """obs as f64, once it holds one finite value per point of density p."""
+    obs = np.asarray(obs, dtype=np.float64)
+    if obs.shape != p.shape[:-1]:
+        raise ValueError(f"observation shape {obs.shape} does not match "
+                         f"density {p.shape[:-1]}")
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("observations must be finite")
+    return obs
+
+
 def crps(d: DensityGrid, obs) -> np.ndarray:
     """Closed-form CRPS per gridpoint for step-function forecast CDFs.
 
@@ -80,28 +92,16 @@ def crps(d: DensityGrid, obs) -> np.ndarray:
     their full tail segments.
     """
     p = d.validate()
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != p.shape[:-1]:
-        raise ValueError(f"observation shape {obs.shape} does not match "
-                         f"density {p.shape[:-1]}")
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("observations must be finite")
-
-    x = d.spec.representatives
-    flat_p = p.reshape(-1, x.size)
-    flat_y = obs.reshape(-1)
-    out = np.empty(flat_y.size)
-    for rows in row_chunks(flat_y.size, x.size):
-        out[rows] = _crps_rows(flat_p[rows], flat_y[rows], x, d.spec.width)
-    return out.reshape(obs.shape)
+    return by_rows(lambda p, y: _crps_rows(p, y, d.spec), p, _observations(p, obs))
 
 
-def _crps_rows(p: np.ndarray, y: np.ndarray, x: np.ndarray, width: float) -> np.ndarray:
+def _crps_rows(p: np.ndarray, y: np.ndarray, spec: BinSpec) -> np.ndarray:
     """crps of (rows, n) densities against (rows,) observations.
 
     It holds the CDF C and two (rows, n - 1) arrays, written in place in the
     order of F**2 * below + (F - 1)**2 * (width - below); they go on return.
     """
+    x, width = spec.representatives, spec.width
     C = np.cumsum(p, axis=1)
     hi_tail = C[:, -1] ** 2 * np.maximum(y - x[-1], 0.0)
     lo_tail = np.maximum(x[0] - y, 0.0)               # F=0, obs below support
@@ -132,13 +132,15 @@ def coverage_stats(d: DensityGrid, truth) -> dict:
     ci95/ci99 use mu +/- Z sigma/sqrt(n_bins); sigma1/sigma2 use mu +/- k sigma.
     A point with sigma = 0 counts as covered only when truth equals mu.
     """
-    truth = np.asarray(truth, dtype=np.float64)
-    mu = expectation(d)
-    sigma = density_stddev(d)
-    if truth.shape != mu.shape:
-        raise ValueError("truth shape does not match densities")
+    p = d.validate()
+    x = d.spec.representatives
+    return _coverage(_observations(p, truth), p, p @ x, x)
+
+
+def _coverage(truth: np.ndarray, p: np.ndarray, mu: np.ndarray, x: np.ndarray) -> dict:
+    sigma = stddev_about(p, mu, x)
     dev = np.abs(truth - mu)
-    root_n = np.sqrt(d.spec.n_bins)
+    root_n = np.sqrt(x.size)
     out = {}
     for name, width in (("ci95", Z_95 * sigma / root_n),
                         ("ci99", Z_99 * sigma / root_n),
@@ -152,21 +154,11 @@ def topk_match(d: DensityGrid, true_bins, k: int) -> float:
     """Percentage of points whose true bin is among the k most probable bins.
 
     Ties prefer the lower bin index (stable sort on descending probability).
-    """
-    return _topk_matches(d, true_bins, [k])[k]
-
-
-def _topk_matches(d: DensityGrid, true_bins, ks) -> dict:
-    """{k: topk_match(d, true_bins, k)} for every k, from one check and one sort.
-
-    The first k columns of a stable descending sort are the top-k set for
-    every k, so one sort serves all of them exactly. true_bins must hold an
-    integer bin index in [0, n_bins) for every point of the density.
+    true_bins must hold an integer bin index in [0, n_bins) for every point.
     """
     n_bins = d.spec.n_bins
-    for k in ks:
-        if not 1 <= k <= n_bins:
-            raise ValueError(f"k must be in [1, {n_bins}]")
+    if not 1 <= k <= n_bins:
+        raise ValueError(f"k must be in [1, {n_bins}]")
     p = d.validate()
     true_bins = np.asarray(true_bins)
     if true_bins.shape != p.shape[:-1]:
@@ -176,20 +168,20 @@ def _topk_matches(d: DensityGrid, true_bins, ks) -> dict:
         raise ValueError(f"true bins must be integer indices, got {true_bins.dtype}")
     if not (true_bins.min() >= 0 and true_bins.max() < n_bins):
         raise ValueError(f"true bins must lie in [0, {n_bins})")
-    flat_p = p.reshape(-1, n_bins)
-    flat_bins = true_bins.reshape(-1, 1)
-    hits = np.zeros(len(ks), dtype=np.int64)
-    for rows in row_chunks(flat_bins.size, n_bins):
-        hits += _topk_hits(flat_p[rows], flat_bins[rows], ks)
-    return {k: float(100.0 * (int(h) / flat_bins.size)) for k, h in zip(ks, hits)}
+    return _topk(by_rows(_true_bin_ranks, p, true_bins), k)
 
 
-def _topk_hits(p: np.ndarray, true_bins: np.ndarray, ks) -> list:
-    """For each k, the number of (rows, n) density rows whose (rows, 1) true bin
-    is among their k most probable; the sort's arrays go on return."""
-    top = np.argsort(-p, axis=1, kind="stable")[:, :max(ks)]
-    hit = top == true_bins
-    return [np.count_nonzero(hit[:, :k].any(axis=1)) for k in ks]
+def _topk(ranks: np.ndarray, k: int) -> float:
+    return float(100.0 * (np.count_nonzero(ranks < k) / ranks.size))
+
+
+def _true_bin_ranks(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Position of each row's bin t in a stable descending sort of the (rows, n)
+    row: the bins more probable than t plus the lower-index bins tied with it.
+    The true bin is in the top k exactly when this is below k, for every k."""
+    pt = np.take_along_axis(p, t[:, None], axis=1)
+    lower = np.arange(p.shape[1]) < t[:, None]
+    return np.count_nonzero((p > pt) | ((p == pt) & lower), axis=1)
 
 
 @dataclass
@@ -291,24 +283,25 @@ class ScoreReport:
 def assemble_report(d: DensityGrid, truth, grid: GridSpec, *, variable: str,
                     level, lead_hours: int, split: str,
                     spread: float | None = None) -> ScoreReport:
-    """Compute the full metric suite for pooled densities against truth fields."""
-    truth = np.asarray(truth, dtype=np.float64)
-    mu = expectation(d)
+    """The full metric suite for densities against truth, from one validation."""
+    p = d.validate()
+    truth = _observations(p, truth)
+    x = d.spec.representatives
+    mu = p @ x
     rmse = weighted_rmse(mu, truth, grid)
     mse, lo, hi = weighted_mse_ci(mu, truth, grid)
-    true_bins = discretize(truth, d.spec).bins
-    report = ScoreReport(
+    ranks = by_rows(_true_bin_ranks, p, discretize(truth, d.spec).bins)
+    return ScoreReport(
         variable=variable, level=level, lead_hours=lead_hours,
         n_samples=int(truth.shape[0] if truth.ndim == 3 else 1), split=split,
         weighted_rmse=rmse, weighted_mse=mse, mse_ci_lo=lo, mse_ci_hi=hi,
-        mean_crps=mean_crps(d, truth),
-        coverage=coverage_stats(d, truth),
-        topk=_topk_matches(d, true_bins, range(1, 6)),
+        mean_crps=float(by_rows(lambda p, y: _crps_rows(p, y, d.spec), p, truth).mean()),
+        coverage=_coverage(truth, p, mu, x),
+        topk={k: _topk(ranks, k) for k in range(1, 6)},
         spread=spread,
         spread_skill=(None if spread is None or rmse <= 0
                       else spread / rmse),
     )
-    return report
 
 
 def render_report_table(report: ScoreReport, include_reference: bool = True) -> str:

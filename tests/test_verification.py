@@ -9,7 +9,7 @@ from probcast.binning import (BinSpec, DensityGrid, density_stddev, discretize,
                               expectation, row_chunks)
 from probcast.grid import GridSpec
 from probcast.verification import (REFERENCE_COVERAGE, REFERENCE_CRPS,
-                                   REFERENCE_RMSE, ScoreReport, _topk_matches,
+                                   REFERENCE_RMSE, ScoreReport,
                                    assemble_report, cdf_threshold, coverage_stats,
                                    crps, mean_crps, render_report_table,
                                    topk_match, weighted_mse_ci, weighted_rmse)
@@ -177,8 +177,9 @@ class TestCrps:
 
     def test_rejects_non_finite_obs(self):
         spec = BinSpec(0.0, 1.0, 4)
-        with pytest.raises(ValueError, match="finite"):
-            crps(DensityGrid(np.full((1, 4), 0.25), spec), np.array([np.nan]))
+        for score in (crps, coverage_stats):
+            with pytest.raises(ValueError, match="finite"):
+                score(DensityGrid(np.full((1, 4), 0.25), spec), np.array([np.nan]))
 
 
 class TestMeanCrps:
@@ -241,6 +242,39 @@ class TestCoverage:
         truth = rng.uniform(0, 10, size=100)
         cov = coverage_stats(d, truth)
         assert all(0.0 <= v <= 100.0 for v in cov.values())
+
+
+def _tie_heavy(rng, n_bins, shape, total=10):
+    """Probabilities in steps of 1/total, so most rows hold exact ties."""
+    counts = rng.multinomial(total, np.full(n_bins, 1.0 / n_bins), size=shape)
+    return counts / float(total), rng.integers(0, n_bins, size=shape)
+
+
+def _signed_zeros(rng, rows=400, n_bins=10):
+    """Three bins hold the mass; the rest are +0.0 or -0.0, and the true bin
+    is one of them."""
+    p = np.where(rng.random((rows, n_bins)) < 0.5, -0.0, 0.0)
+    order = rng.permuted(np.tile(np.arange(n_bins), (rows, 1)), axis=1)
+    np.put_along_axis(p, order[:, :3], np.array([[0.2, 0.3, 0.5]]), axis=1)
+    return p, order[np.arange(rows), rng.integers(3, n_bins, size=rows)]
+
+
+def _slightly_negative(rng):
+    """Tie-heavy rows whose empty bins may read -1e-5, which validate accepts."""
+    p, bins = _tie_heavy(rng, 10, (400,))
+    p[(p == 0.0) & (rng.random(p.shape) < 0.5)] = -1e-5
+    return p, bins
+
+
+def _top_ties(rng, rows=400, n_bins=10):
+    """2 to 5 bins tie for the top, the rest tie below them; half the true bins
+    are top bins."""
+    m = rng.integers(2, 6, size=(rows, 1))
+    order = rng.permuted(np.tile(np.arange(n_bins), (rows, 1)), axis=1)
+    p = np.where(order < m, 2.0, 1.0)
+    p /= p.sum(axis=1, keepdims=True)
+    top = np.argmax(order == rng.integers(0, m), axis=1)
+    return p, np.where(rng.random(rows) < 0.5, top, rng.integers(0, n_bins, size=rows))
 
 
 class TestTopK:
@@ -307,22 +341,28 @@ class TestTopK:
         d = random_density(np.random.default_rng(19), (4, 3, 5), 6)
         with pytest.raises(ValueError, match=match):
             topk_match(d, bins, 1)
-        with pytest.raises(ValueError, match=match):
-            _topk_matches(d, bins, range(1, 6))
 
-    def test_chunked_rows_match_one_sort(self):
-        """A tie-heavy 100-bin density of 6912 rows spans three row chunks; the
-        percentages equal those of one stable sort over all rows, bit for bit."""
-        rng = np.random.default_rng(20)
-        spec = BinSpec(0.0, 10.0, 100)
-        counts = rng.multinomial(20, np.full(100, 0.01), size=(6, 24, 48))
-        d = DensityGrid(counts / 20.0, spec)
-        bins = rng.integers(0, 100, size=(6, 24, 48))
-        assert len(list(row_chunks(bins.size, 100))) == 3
-        top = np.argsort(-d.probs.reshape(-1, 100), axis=1, kind="stable")
+    @pytest.mark.parametrize("make, n_chunks", [
+        (lambda rng: _tie_heavy(rng, 5, (4, 8, 16)), 1),
+        (lambda rng: _tie_heavy(rng, 10, (4, 8, 16)), 1),
+        (lambda rng: _tie_heavy(rng, 37, (4, 8, 16)), 1),
+        (lambda rng: _tie_heavy(rng, 100, (6, 24, 48), total=20), 3),
+        (_signed_zeros, 1),
+        (_slightly_negative, 1),
+        (_top_ties, 1),
+    ], ids=["5-tie", "10-tie", "37-tie", "100-tie-3-chunks", "signed-zeros",
+            "minus-1e-5", "top-ties"])
+    def test_chunked_rows_match_one_sort(self, make, n_chunks):
+        """topk_match equals the top k columns of one stable descending sort
+        over all rows, bit for bit, for every k up to 5."""
+        p, bins = make(np.random.default_rng(20))
+        n_bins = p.shape[-1]
+        assert len(list(row_chunks(bins.size, n_bins))) == n_chunks
+        d = DensityGrid(p, BinSpec(0.0, 10.0, n_bins))
+        top = np.argsort(-p.reshape(-1, n_bins), axis=1, kind="stable")
         hit = top[:, :5] == bins.reshape(-1, 1)
-        expect = {k: float(100.0 * hit[:, :k].any(axis=1).mean()) for k in range(1, 6)}
-        assert _topk_matches(d, bins, range(1, 6)) == expect
+        for k in range(1, 6):
+            assert topk_match(d, bins, k) == float(100.0 * hit[:, :k].any(axis=1).mean())
 
 
 class TestCdfThreshold:
@@ -442,6 +482,18 @@ class TestScoreReport:
         assert a == b
         parsed = json.loads(a)
         assert parsed["topk"]["1"] >= 0.0
+
+    def test_report_validates_its_density_once(self, monkeypatch):
+        calls = []
+        validate = DensityGrid.validate
+
+        def counted(d):
+            calls.append(d)
+            return validate(d)
+
+        monkeypatch.setattr(DensityGrid, "validate", counted)
+        self.make_report()
+        assert len(calls) == 1
 
     def test_report_holds_one_row_chunk(self):
         """Scoring a 64-sample, 100-bin density (26 MB) adds at most 16 MB to
