@@ -18,7 +18,7 @@ import numpy as np
 
 from .binning import BinSpec, DensityGrid, discretize, expectation
 from .contours import contours_to_csv, contours_to_svg, probability_contours
-from .ensemble import ensemble_spread, generate_ensemble, linear_pool
+from .ensemble import generate_ensemble, linear_pool, spread_from_expectations
 from .gfb import json_text, load_dataset, save_dataset
 from .grid import (DEFAULT_SPLIT, SPLIT_NAMES, GridSpec, SplitPlan, climatology,
                    persistence_forecast)
@@ -56,8 +56,12 @@ def _parse_channel(text: str) -> tuple:
 
 def _parse_candidates(text: str) -> list:
     """'z:200;z:200+z:850' -> [('z:200', [('z', 200)]), ('z:200+z:850', [...])]."""
-    return [(c.strip(), _parse_varlist(c.replace("+", ",")))
-            for c in text.split(";") if c.strip()]
+    candidates = [(c.strip(), _parse_varlist(c.replace("+", ",")))
+                  for c in text.split(";") if c.strip()]
+    if not candidates or not all(extra for _, extra in candidates):
+        raise argparse.ArgumentTypeError(
+            f"needs one or more candidate sets of name:level channels, got {text!r}")
+    return candidates
 
 
 def _parse_floats(text: str) -> tuple:
@@ -83,6 +87,18 @@ def _positive(cast):
 # --- commands ---------------------------------------------------------------------
 
 
+def _dataset(args):
+    """The --data dataset and its --split plan."""
+    ds = load_dataset(args.data)
+    return ds, SplitPlan.from_fractions(ds.n_time, *args.split)
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_synth(args) -> int:
     cfg = SynthConfig(n_lat=args.nlat, n_lon=args.nlon, n_steps=args.steps,
                       step_hours=args.step_hours, amplitude=args.amplitude)
@@ -99,8 +115,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = load_dataset(args.data)
-    splits = SplitPlan.from_fractions(ds.n_time, *args.split)
+    ds, splits = _dataset(args)
     cfg = ResNetConfig(inputs=args.inputs, target=args.target,
                        lead_hours=args.lead_hours, n_blocks=args.blocks,
                        n_bins=args.bins, dropout_rate=args.dropout,
@@ -110,8 +125,7 @@ def cmd_train(args) -> int:
     model = ResNet(cfg, seed=args.seed)
     history = train(model, ds, splits.train, splits.neural_validation, sched,
                     seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     model.save(out / "model.pwnn")
     (out / "history.csv").write_text(history.to_csv())
     meta = {"data": str(args.data), "split": args.split, "seed": args.seed,
@@ -125,21 +139,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    ds = load_dataset(args.data)
-    splits = SplitPlan.from_fractions(ds.n_time, *args.split)
+    ds, splits = _dataset(args)
     model = ResNet.load(args.model)
     split_range = splits.range(args.split_name)
     X, truth, _ = build_samples(ds, model.cfg, split_range)
     ens = generate_ensemble(model, X, n_members=args.members,
                             master_seed=args.seed)
     pooled = linear_pool(ens.members)
-    spread_field, spread_scalar = (None, None)
-    if args.members >= 2:
-        spread_field, spread_scalar = ensemble_spread(ens, ds.grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    exps = ens.member_expectations()
+    spread_scalar = (spread_from_expectations(exps, ds.grid)[1]
+                     if args.members >= 2 else None)
+    out = _out_dir(args)
     np.save(out / "pooled_probs.npy", pooled.probs)
-    np.save(out / "member_expectations.npy", ens.member_expectations())
+    np.save(out / "member_expectations.npy", exps)
     np.save(out / "truth.npy", truth)
     manifest = {
         "model": str(args.model),
@@ -200,6 +212,7 @@ def _load_learners(dirs: str, spec: BinSpec | None = None):
         if not np.array_equal(t, truth):
             raise SystemExit(f"learner {d} covers different samples")
         outputs.append(LearnerOutput(str(d), expectation(pooled)))
+        del pooled  # else it lives on while the next learner's density loads
     return outputs, first, spec, truth, grid
 
 
@@ -207,8 +220,7 @@ def cmd_stack(args) -> int:
     outputs, _, spec, truth, grid = _load_learners(args.learners)
     true_bins = discretize(truth, spec).bins
     model = train_stack(outputs, true_bins, spec, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     model.save(out / "stack.pwnn")
     fused = stack_predict(model, outputs)
     rmse_stack = weighted_rmse(expectation(fused), truth, grid)
@@ -239,8 +251,7 @@ def cmd_evaluate(args) -> int:
     report = assemble_report(density, truth, grid, variable=variable, level=level,
                              lead_hours=manifest["lead_hours"],
                              split=manifest["split_name"], spread=spread)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     (out / "report.json").write_text(report.to_json())
     table = render_report_table(report, include_reference=not args.no_reference)
     (out / "report.txt").write_text(table)
@@ -249,8 +260,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baselines(args) -> int:
-    ds = load_dataset(args.data)
-    splits = SplitPlan.from_fractions(ds.n_time, *args.split)
+    ds, splits = _dataset(args)
     variable, level = args.target
     pred, truth = persistence_forecast(ds, variable, level, args.lead_hours,
                                        splits.range(args.split_name))
@@ -262,15 +272,12 @@ def cmd_baselines(args) -> int:
     text = json_text(result)
     print(text, end="")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "baselines.json").write_text(text)
+        (_out_dir(args) / "baselines.json").write_text(text)
     return 0
 
 
 def cmd_explore(args) -> int:
-    ds = load_dataset(args.data)
-    splits = SplitPlan.from_fractions(ds.n_time, *args.split)
+    ds, splits = _dataset(args)
     sched = TrainingSchedule(initial_lr=args.lr, max_epochs=args.epochs,
                              batch_size=args.batch_size)
     spec = exploration.ExperimentSpec(
@@ -285,8 +292,7 @@ def cmd_explore(args) -> int:
         rows.append(exploration.run_candidate(cspec, bench_mse, ds, splits, sched))
         specs.append(asdict(cspec))
     report = exploration.build_report(bench_mse, rows)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     (out / "importance.json").write_text(report.to_json())
     (out / "importance.csv").write_text(report.to_csv())
     (out / "explore_manifest.json").write_text(
@@ -308,8 +314,7 @@ def cmd_contours(args) -> int:
         probs = probs[args.sample]
     tm = cdf_threshold(DensityGrid(probs, pooled.spec), args.threshold)
     contours = probability_contours(tm, grid, levels=args.contour_levels)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     (out / "contours.csv").write_text(contours_to_csv(contours))
     (out / "contours.svg").write_text(contours_to_svg(contours, grid))
     for level in sorted(contours):
@@ -331,9 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="logging level (debug/info/warning)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", help="generate a synthetic dataset (GFB1)")
+    # flags that several commands take, each defined once and passed as a parent
+    dataset, target, fit, split_name, seed, out = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    dataset.add_argument("--data", required=True, help="GFB1 dataset path")
+    dataset.add_argument("--split", type=_parse_split, default=DEFAULT_SPLIT,
+                         help="train,neural_val,stacked_val,test fractions")
+    target.add_argument("--target", type=_parse_channel, default="z:500")
+    target.add_argument("--lead-hours", type=int, default=72)
+    fit.add_argument("--bins", type=int, default=10)
+    fit.add_argument("--lr", type=_positive(float), default=1e-3)
+    fit.add_argument("--batch-size", type=_positive(int), default=32)
+    split_name.add_argument("--split-name", default="test", choices=SPLIT_NAMES)
+    seed.add_argument("--seed", type=int, required=True)
+    out.add_argument("--out", required=True, help="output directory")
+
+    sp = sub.add_parser("synth", parents=[seed],
+                        help="generate a synthetic dataset (GFB1)")
     sp.add_argument("--out", required=True, help="output .gfb path")
-    sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--nlat", type=int, default=16)
     sp.add_argument("--nlon", type=int, default=32)
     sp.add_argument("--steps", type=int, default=2000)
@@ -341,84 +361,56 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--amplitude", type=float, default=1.0)
     sp.set_defaults(func=cmd_synth)
 
-    tp = sub.add_parser("train", help="train one learner")
-    tp.add_argument("--data", required=True)
-    tp.add_argument("--out", required=True)
-    tp.add_argument("--seed", type=int, required=True)
+    tp = sub.add_parser("train", parents=[dataset, target, fit, seed, out],
+                        help="train one learner")
     tp.add_argument("--inputs", type=_parse_varlist, default="z:500,t:850",
                     help="comma list of input channels name:level")
-    tp.add_argument("--target", type=_parse_channel, default="z:500")
-    tp.add_argument("--lead-hours", type=int, default=72)
     tp.add_argument("--blocks", type=int, default=2)
-    tp.add_argument("--bins", type=int, default=10)
     tp.add_argument("--kernel", type=int, default=5)
     tp.add_argument("--dropout", type=float, default=0.1,
                     help="dropout rate in [0, 1); 0 disables dropout")
-    tp.add_argument("--split", type=_parse_split, default=DEFAULT_SPLIT,
-                    help="train,neural_val,stacked_val,test fractions")
-    tp.add_argument("--lr", type=_positive(float), default=1e-3)
     tp.add_argument("--epochs", type=_positive(int), default=20)
-    tp.add_argument("--batch-size", type=_positive(int), default=32)
     tp.set_defaults(func=cmd_train)
 
-    ep = sub.add_parser("ensemble", help="dropout-at-inference ensemble")
-    ep.add_argument("--data", required=True)
+    ep = sub.add_parser("ensemble", parents=[dataset, split_name, seed, out],
+                        help="dropout-at-inference ensemble")
     ep.add_argument("--model", required=True, help="model.pwnn path")
-    ep.add_argument("--out", required=True)
-    ep.add_argument("--seed", type=int, required=True)
     ep.add_argument("--members", type=_positive(int), default=32)
-    ep.add_argument("--split", type=_parse_split, default=DEFAULT_SPLIT)
-    ep.add_argument("--split-name", default="test", choices=SPLIT_NAMES)
     ep.set_defaults(func=cmd_ensemble)
 
-    kp = sub.add_parser("stack", help="train the stacked combiner")
+    kp = sub.add_parser("stack", parents=[seed, out],
+                        help="train the stacked combiner")
     kp.add_argument("--learners", required=True,
                     help="comma list of ensemble output dirs")
-    kp.add_argument("--out", required=True)
-    kp.add_argument("--seed", type=int, required=True)
     kp.set_defaults(func=cmd_stack)
 
-    vp = sub.add_parser("evaluate", help="full verification report")
+    vp = sub.add_parser("evaluate", parents=[out], help="full verification report")
     scored = vp.add_mutually_exclusive_group(required=True)
     scored.add_argument("--ensemble", help="ensemble dir to score")
     scored.add_argument("--stack", help="stack.pwnn to score (needs --learners)")
     vp.add_argument("--learners", help="ensemble dirs feeding the stack (--stack only)")
-    vp.add_argument("--out", required=True)
     vp.add_argument("--no-reference", action="store_true",
                     help="omit full-scale reference rows")
     vp.set_defaults(func=cmd_evaluate)
 
-    bp = sub.add_parser("baselines", help="persistence and climatology RMSE")
-    bp.add_argument("--data", required=True)
-    bp.add_argument("--target", type=_parse_channel, default="z:500")
-    bp.add_argument("--lead-hours", type=int, default=72)
-    bp.add_argument("--split", type=_parse_split, default=DEFAULT_SPLIT)
-    bp.add_argument("--split-name", default="test", choices=SPLIT_NAMES)
+    bp = sub.add_parser("baselines", parents=[dataset, target, split_name],
+                        help="persistence and climatology RMSE")
     bp.add_argument("--out", default=None)
     bp.set_defaults(func=cmd_baselines)
 
-    xp = sub.add_parser("explore", help="benchmark-relative input importance")
-    xp.add_argument("--data", required=True)
-    xp.add_argument("--out", required=True)
-    xp.add_argument("--seed", type=int, required=True)
+    xp = sub.add_parser("explore", parents=[dataset, target, fit, seed, out],
+                        help="benchmark-relative input importance")
     xp.add_argument("--base-inputs", type=_parse_varlist, default="z:500,t:850")
-    xp.add_argument("--target", type=_parse_channel, default="z:500")
     xp.add_argument("--levels", type=_parse_candidates, required=True,
                     help="candidate extra-channel sets, ';'-separated, channels "
                          "joined by '+', e.g. 'z:200;z:200+z:850'")
-    xp.add_argument("--lead-hours", type=int, default=72)
     xp.add_argument("--blocks", type=int, default=1)
-    xp.add_argument("--bins", type=int, default=10)
     xp.add_argument("--members", type=_positive(int), default=8)
-    xp.add_argument("--split", type=_parse_split, default=DEFAULT_SPLIT)
-    xp.add_argument("--lr", type=_positive(float), default=1e-3)
     xp.add_argument("--epochs", type=_positive(int), default=8)
-    xp.add_argument("--batch-size", type=_positive(int), default=32)
     xp.set_defaults(func=cmd_explore)
 
-    cp = sub.add_parser("contours", help="CDF threshold contour maps")
+    cp = sub.add_parser("contours", parents=[out], help="CDF threshold contour maps")
     cp.add_argument("--ensemble", required=True, help="ensemble dir")
-    cp.add_argument("--out", required=True)
     cp.add_argument("--sample", type=int, default=0)
     cp.add_argument("--threshold", type=float, required=True)
     cp.add_argument("--contour-levels", type=_parse_floats, default="0.1,0.5,0.9")

@@ -84,12 +84,16 @@ def ensemble_spread(ens: EnsembleSet, grid: GridSpec):
     spatial/temporal averaging the RMSE uses, then takes the square root, so
     spread and RMSE are directly comparable.
     """
-    if ens.n_members < 2:
+    return spread_from_expectations(ens.member_expectations(), grid)
+
+
+def spread_from_expectations(exps: np.ndarray, grid: GridSpec):
+    """ensemble_spread of member expectations exps, shape (n_members, N, H, W)."""
+    n = len(exps)
+    if n < 2:
         raise ValueError("spread needs at least 2 members")
-    exps = ens.member_expectations()            # (n, N, H, W)
     # population variance (ddof 0) with np.var's two sums, bit for bit, but
     # one member at a time instead of through an (n, N, H, W) deviation array
-    n = ens.n_members
     mean = exps.sum(axis=0) / n
     var = np.zeros_like(mean)                   # (N, H, W)
     for e in exps:

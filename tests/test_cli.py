@@ -1,14 +1,18 @@
+import argparse
 import hashlib
 import json
 import shutil
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from probcast.cli import main
+from probcast.cli import _load_learners, build_parser, main
+from probcast.ensemble import EnsembleSet, ensemble_spread
 from probcast.gfb import load_dataset
-from probcast.grid import SPLIT_NAMES, SplitPlan, climatology, persistence_forecast
+from probcast.grid import (SPLIT_NAMES, GridSpec, SplitPlan, climatology,
+                           persistence_forecast)
 from probcast.verification import weighted_rmse
 
 
@@ -52,6 +56,96 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--" in out
+
+
+SPLIT = (0.6, 0.1, 0.15, 0.15)
+REQUIRED = (None, True, None, None, "_StoreAction")
+SEED = (None, True, "int", None, "_StoreAction")
+# option: (default, required, type name, choices, action class), per command
+FLAG_TABLE = {
+    "synth": {
+        "--out": REQUIRED, "--seed": SEED,
+        "--nlat": (16, False, "int", None, "_StoreAction"),
+        "--nlon": (32, False, "int", None, "_StoreAction"),
+        "--steps": (2000, False, "int", None, "_StoreAction"),
+        "--step-hours": (6, False, "int", None, "_StoreAction"),
+        "--amplitude": (1.0, False, "float", None, "_StoreAction"),
+    },
+    "train": {
+        "--data": REQUIRED, "--out": REQUIRED, "--seed": SEED,
+        "--inputs": ("z:500,t:850", False, "_parse_varlist", None, "_StoreAction"),
+        "--target": ("z:500", False, "_parse_channel", None, "_StoreAction"),
+        "--lead-hours": (72, False, "int", None, "_StoreAction"),
+        "--blocks": (2, False, "int", None, "_StoreAction"),
+        "--bins": (10, False, "int", None, "_StoreAction"),
+        "--kernel": (5, False, "int", None, "_StoreAction"),
+        "--dropout": (0.1, False, "float", None, "_StoreAction"),
+        "--split": (SPLIT, False, "_parse_split", None, "_StoreAction"),
+        "--lr": (1e-3, False, "positive float", None, "_StoreAction"),
+        "--epochs": (20, False, "positive int", None, "_StoreAction"),
+        "--batch-size": (32, False, "positive int", None, "_StoreAction"),
+    },
+    "ensemble": {
+        "--data": REQUIRED, "--model": REQUIRED, "--out": REQUIRED, "--seed": SEED,
+        "--members": (32, False, "positive int", None, "_StoreAction"),
+        "--split": (SPLIT, False, "_parse_split", None, "_StoreAction"),
+        "--split-name": ("test", False, None, SPLIT_NAMES, "_StoreAction"),
+    },
+    "stack": {"--learners": REQUIRED, "--out": REQUIRED, "--seed": SEED},
+    "evaluate": {
+        "--ensemble": (None, False, None, None, "_StoreAction"),
+        "--stack": (None, False, None, None, "_StoreAction"),
+        "--learners": (None, False, None, None, "_StoreAction"),
+        "--out": REQUIRED,
+        "--no-reference": (False, False, None, None, "_StoreTrueAction"),
+    },
+    "baselines": {
+        "--data": REQUIRED,
+        "--target": ("z:500", False, "_parse_channel", None, "_StoreAction"),
+        "--lead-hours": (72, False, "int", None, "_StoreAction"),
+        "--split": (SPLIT, False, "_parse_split", None, "_StoreAction"),
+        "--split-name": ("test", False, None, SPLIT_NAMES, "_StoreAction"),
+        "--out": (None, False, None, None, "_StoreAction"),
+    },
+    "explore": {
+        "--data": REQUIRED, "--out": REQUIRED, "--seed": SEED,
+        "--base-inputs": ("z:500,t:850", False, "_parse_varlist", None, "_StoreAction"),
+        "--target": ("z:500", False, "_parse_channel", None, "_StoreAction"),
+        "--levels": (None, True, "_parse_candidates", None, "_StoreAction"),
+        "--lead-hours": (72, False, "int", None, "_StoreAction"),
+        "--blocks": (1, False, "int", None, "_StoreAction"),
+        "--bins": (10, False, "int", None, "_StoreAction"),
+        "--members": (8, False, "positive int", None, "_StoreAction"),
+        "--split": (SPLIT, False, "_parse_split", None, "_StoreAction"),
+        "--lr": (1e-3, False, "positive float", None, "_StoreAction"),
+        "--epochs": (8, False, "positive int", None, "_StoreAction"),
+        "--batch-size": (32, False, "positive int", None, "_StoreAction"),
+    },
+    "contours": {
+        "--ensemble": REQUIRED, "--out": REQUIRED,
+        "--sample": (0, False, "int", None, "_StoreAction"),
+        "--threshold": (None, True, "float", None, "_StoreAction"),
+        "--contour-levels": ("0.1,0.5,0.9", False, "_parse_floats", None, "_StoreAction"),
+    },
+}
+
+
+def test_flag_table():
+    """Every command's flags keep their defaults, requiredness, types and choices."""
+    def type_name(parse):
+        if parse is None:
+            return None
+        if parse.__name__ == "positive":  # _positive(cast): name the cast too
+            return f"positive {type(parse('1')).__name__}"
+        return parse.__name__
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    table = {name: {a.option_strings[0]: (a.default, a.required, type_name(a.type),
+                                          a.choices, type(a).__name__)
+                    for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+             for name, parser in sub.choices.items()}
+    assert table == FLAG_TABLE
 
 
 @pytest.mark.parametrize("cmd", ["ensemble --model m.pwnn --seed 1", "baselines"])
@@ -168,6 +262,29 @@ class TestPipeline:
         assert exc.value.code == 2
         assert "--learners" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ensemble_takes_member_expectations_once(self, pipeline, tmp_path,
+                                                     monkeypatch):
+        root, data = pipeline
+        calls = []
+        member_expectations = EnsembleSet.member_expectations
+
+        def counted(ens):
+            calls.append(ens)
+            return member_expectations(ens)
+
+        monkeypatch.setattr(EnsembleSet, "member_expectations", counted)
+        out = tmp_path / "e"
+        assert run("ensemble", "--data", data, "--split", "0.6,0.1,0.15,0.15",
+                   "--model", root / "m1" / "model.pwnn", "--members", 6,
+                   "--seed", 9, "--out", out) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        ens = calls[0]
+        _, spread = ensemble_spread(ens, load_dataset(data).grid)
+        saved = np.load(out / "member_expectations.npy")
+        assert saved.tobytes() == ens.member_expectations().tobytes()
+        assert json.loads((out / "manifest.json").read_text())["spread"] == spread
 
     def test_ensemble_summary_shows_zero_spread(self, pipeline, tmp_path, capsys):
         _, data = pipeline
@@ -308,6 +425,8 @@ class TestPipeline:
         (["explore", "--base-inputs", "z", "--levels", "z:850"], "--base-inputs"),
         (["explore", "--levels", "z"], "--levels"),
         (["contours", "--contour-levels", "0.1,x"], "--contour-levels"),
+        (["explore", "--levels", ";"], "--levels"),
+        (["explore", "--levels", "+"], "--levels"),
     ])
     def test_malformed_channel_flag_is_usage_error(self, pipeline, cmd, flag, tmp_path,
                                                    capsys):
@@ -370,6 +489,33 @@ class TestPipeline:
                  tmp_path / "out")
         assert rc != 0
         assert "error" in capsys.readouterr().err
+
+
+def test_load_learners_holds_one_density_at_a_time(tmp_path):
+    """Each learner's density is freed before the next one loads."""
+    rng = np.random.default_rng(0)
+    grid = GridSpec.regular(8, 16)
+    dirs = []
+    for name in ("a", "b"):
+        probs = rng.random((32, 8, 16, 100))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        d = tmp_path / name
+        d.mkdir()
+        np.save(d / "pooled_probs.npy", probs)
+        np.save(d / "truth.npy", np.zeros(probs.shape[:-1]))
+        (d / "manifest.json").write_text(json.dumps({
+            "binspec": {"v_min": 0.0, "v_max": 1.0, "n_bins": 100},
+            "latitudes_deg": grid.latitudes_deg.tolist(),
+            "longitudes_deg": grid.longitudes_deg.tolist()}))
+        dirs.append(str(d))
+    tracemalloc.start()
+    try:
+        outputs = _load_learners(",".join(dirs))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(outputs) == 2
+    assert peak <= 1.3 * probs.nbytes, peak / probs.nbytes
 
 
 class TestExploreCommand:
