@@ -228,7 +228,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-rate); rate 0 is identity.
 
     The graph keeps the bool keep mask; the vjp rebuilds the scaled mask
-    from it, with the same values as the forward's.
+    from it, with the same values as the forward's. The uniforms are drawn
+    one leading-axis sample at a time into one reused buffer: the same
+    values, in the same order, as one draw of the whole shape.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -236,15 +238,25 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
         return x
     if rng is None:
         raise ValueError("enabled dropout needs an rng stream")
-    keep = (rng.random(x.data.shape) >= rate)
+    keep = np.empty(x.data.shape, dtype=bool)
+    rows = keep.reshape(len(keep) if keep.ndim > 1 else 1, -1)  # a view, one sample a row
+    u = np.empty(rows.shape[1])  # one sample's f64 uniforms, in whole-array draw order
+    for row in rows:
+        np.greater_equal(rng.random(out=u), rate, out=row)
     dt = x.data.dtype
     scale = np.asarray(1.0 / (1.0 - rate), dtype=dt)
-    return Tensor(x.data * (keep.astype(dt) * scale), _parents=(x,),
-                  _vjp=lambda g: (g * (keep.astype(dt) * scale),))
+    out = keep.astype(dt)
+    out *= scale
+    out *= x.data  # (keep * scale) * x: the same products as x * (keep * scale)
+    return Tensor(out, _parents=(x,), _vjp=lambda g: (g * (keep.astype(dt) * scale),))
 
 
 def _pad_periodic(x: np.ndarray, p: int) -> np.ndarray:
-    """Wrap-pad the longitude axis, zero-pad the latitude axis of (B,C,H,W)."""
+    """Wrap-pad the longitude axis, zero-pad the latitude axis of (B,C,H,W).
+
+    conv2d pads one sample at a time into this layout; the batched form is
+    kept as the reference whose adjoint _fold_periodic is.
+    """
     if p == 0:
         return x
     xw = np.concatenate([x[..., -p:], x, x[..., :p]], axis=-1)
@@ -276,39 +288,44 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if p > W:
         raise ValueError("kernel too wide for the longitude dimension")
 
-    # im2col one sample at a time: each sample's (C*k*k, H*W) columns are
-    # copied into one reused buffer, so no (B, C*k*k, H*W) tensor is built or
-    # kept in the graph; the backward forms dw and dx from the same samples.
-    # Per sample, every matmul, einsum and col2im makes the same BLAS call and
-    # the same float adds, in the same order, as their batched forms. The
-    # padded input is not kept either: the backward pads x again.
-    def sample_columns(xpad):
-        win = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(2, 3))
-        win = win.transpose(0, 1, 4, 5, 2, 3)  # (B, C, k, k, H, W), a strided view
-        buf = np.empty((C * k * k, H * W), dtype=xpad.dtype)
-        buf6 = buf.reshape(C, k, k, H, W)
+    # im2col one sample at a time: each sample is padded into one reused
+    # (C, H+2p, W+2p) buffer, whose latitude border stays zero, and its
+    # (C*k*k, H*W) columns are copied into one reused buffer, so no batch-sized
+    # padded input or column tensor is built or kept in the graph; the backward
+    # forms dw and dx from the same samples. Per sample, every matmul, einsum
+    # and col2im makes the same BLAS call and the same float adds, in the same
+    # order, as their batched forms.
+    xd, w_shape, needs_dx = x.data, w.data.shape, x.requires_grad
+
+    def sample_columns():
+        xpad = np.zeros((C, H + 2 * p, W + 2 * p), dtype=xd.dtype)
+        rows = xpad[:, p:p + H]
+        win = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(1, 2))
+        win = win.transpose(0, 3, 4, 1, 2)  # (C, k, k, H, W), a strided view
+        buf = np.empty((C * k * k, H * W), dtype=xd.dtype)
+        buf5 = buf.reshape(C, k, k, H, W)
         for i in range(B):
-            np.copyto(buf6, win[i])
+            rows[..., p:p + W] = xd[i]
+            rows[..., :p] = rows[..., W:W + p]  # wrap in longitude
+            rows[..., p + W:] = rows[..., p:2 * p]
+            np.copyto(buf5, win)
             yield i, buf
 
-    xd, w_shape, needs_dx = x.data, w.data.shape, x.requires_grad
     w2 = w.data.reshape(C_out, C * k * k)
-    xpad = _pad_periodic(xd, p)
-    out = np.empty((B, C_out, H * W), dtype=np.result_type(w2, xpad))
-    for i, cols in sample_columns(xpad):
+    out = np.empty((B, C_out, H * W), dtype=np.result_type(w2, xd))
+    for i, cols in sample_columns():
         np.matmul(w2, cols, out=out[i])
     out = _into(np.add, out, b.data[:, None]).reshape(B, C_out, H, W)
 
     def vjp(g):
-        xpad = _pad_periodic(xd, p)
         gflat = g.reshape(B, C_out, H * W)
-        dw = np.zeros((C_out, C * k * k), dtype=np.result_type(gflat, xpad))
-        dx = np.empty(xd.shape, dtype=xpad.dtype) if needs_dx else None
+        dw = np.zeros((C_out, C * k * k), dtype=np.result_type(gflat, xd))
+        dx = np.empty(xd.shape, dtype=xd.dtype) if needs_dx else None
         d6 = np.empty((C, k, k, H, W), dtype=np.result_type(w2, gflat))
-        dxpad = np.empty(xpad.shape[1:], dtype=xpad.dtype)
+        dxpad = np.empty((C, H + 2 * p, W + 2 * p), dtype=xd.dtype)
         col2im = [(dxpad[:, di:di + H, dj:dj + W], d6[:, di, dj])  # views, sliced once per call
                   for di in range(k) for dj in range(k)]
-        for i, cols in sample_columns(xpad):
+        for i, cols in sample_columns():
             dw += np.einsum("ij,kj->ik", gflat[i], cols)
             if dx is not None:
                 np.matmul(w2.T, gflat[i], out=d6.reshape(C * k * k, H * W))

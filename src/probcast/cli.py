@@ -423,6 +423,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "evaluate" and (args.stack is not None) != bool(args.learners):
         parser.error("evaluate --stack needs --learners, and only --stack reads it")
+    if args.command == "explore":
+        seen = set()
+        for name, extra in args.levels:
+            channels = frozenset(extra)
+            if len(channels) < len(extra) or channels & set(args.base_inputs) \
+                    or channels in seen:
+                parser.error(f"explore --levels candidate {name!r} repeats a channel "
+                             "of its own, of --base-inputs or of another candidate")
+            seen.add(channels)
     logging.basicConfig(level=getattr(logging, args.log.upper(), logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     try:

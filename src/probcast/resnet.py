@@ -8,8 +8,14 @@ output convolution to one channel per bin followed by SoftMax.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import logging
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,6 +282,7 @@ class ResNet:
             if dropout_enabled:
                 h = ad.dropout(h, self.cfg.dropout_rate, rng)
             y = ad.add(y, h)
+            del h  # no dropout output lives through the next conv or conv_out
         return self.conv_out(y)
 
     def predict_density(self, x_raw: np.ndarray, dropout_enabled: bool = False,
@@ -288,11 +295,19 @@ class ResNet:
                           batch_size: int = 64) -> list:
         """One density per rng stream, each as predict_density would give it.
 
-        Each batch runs the trunk once, then the head once per stream. A
-        stream draws its dropout masks in the same batch order and shapes as
-        on its own, so every density is bit-identical to a lone pass. No
-        graph is recorded, so each intermediate goes once the next op has
-        read it.
+        Each batch runs the trunk once on the calling thread, then the head
+        once per stream. The streams are split over w = min(OpenBLAS threads
+        on entry, len(rngs)) workers, the calling thread and w - 1 pool
+        threads, in fixed interleaved shares, so each stream's heads run in
+        batch order on one thread and draw its dropout masks in the same
+        order and shapes as on its own: every density is bit-identical to a
+        lone pass. OpenBLAS is pinned to one thread for the whole call, so
+        the cores OPENBLAS_NUM_THREADS grants go to the members, and the
+        bytes equal those of a one-thread run whatever that count is. When
+        numpy's bundled OpenBLAS is not found, BLAS is left alone and w is 1.
+        No graph is recorded, so each intermediate goes once the next op has
+        read it; beyond its outputs, the call holds the trunk's two
+        activations and one head's transients per worker.
         """
         if self.binspec is None:
             raise RuntimeError("model has no bin spec; train or fit first")
@@ -301,13 +316,30 @@ class ResNet:
         # bins stay the second axis in memory, as predict_density always laid
         # them out: expectation()'s matmul rounds differently on other layouts
         outs = [np.empty((n, self.cfg.n_bins, n_lat, n_lon)) for _ in rngs]
-        with ad.no_grad():
-            for i in range(0, n, batch_size):
-                y, h = self._trunk(x_raw[i:i + batch_size], False)
-                for out, rng in zip(outs, rngs):
-                    dst = out[i:i + batch_size]
+        jobs = list(zip(outs, rngs))
+
+        def heads(share, rows, y, h):
+            with ad.no_grad():  # recording is per thread
+                for out, rng in share:
+                    dst = out[rows]
                     dst[...] = self._head(y, h, False, dropout_enabled, rng).data
                     ad.softmax_array(dst, 1, out=dst)
+
+        with ad.no_grad(), _ONE_BLAS_THREAD as threads:
+            w = max(1, min(threads, len(jobs)))
+            shares = [jobs[k::w] for k in range(w)]
+            with ThreadPoolExecutor(w - 1) if w > 1 else contextlib.nullcontext() as pool:
+                for i in range(0, n, batch_size):
+                    rows = slice(i, i + batch_size)
+                    y, h = self._trunk(x_raw[rows], False)
+                    futures = [pool.submit(heads, s, rows, y, h) for s in shares[1:]]
+                    try:
+                        heads(shares[0], rows, y, h)
+                    finally:
+                        for f in futures:
+                            f.result()
+            if w > 1:
+                _trim_heap()
         return [DensityGrid(np.moveaxis(out, 1, -1), self.binspec) for out in outs]
 
     # --- persistence ------------------------------------------------------------
@@ -318,6 +350,72 @@ class ResNet:
     @classmethod
     def load(cls, path) -> "ResNet":
         return load_model(path, cls, "resnet", ResNetConfig)
+
+
+class _OneBlasThread:
+    """Pins numpy's bundled OpenBLAS to one thread while any caller is inside.
+
+    Entering yields the thread count OpenBLAS had before the first caller
+    pinned it, or 1 when the library is not found (BLAS is then left alone).
+    The count is process-wide, so callers in several threads share one save
+    and one restore: the first in saves and pins, the last out restores.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1  # stays 1 when the library is not found
+        self._calls = None  # (get, set) of the thread count; () when not found
+
+    @staticmethod
+    def _find():
+        libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path)
+                get = lib.scipy_openblas_get_num_threads64_
+                put = lib.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+        return ()
+
+    def __enter__(self) -> int:
+        with self._lock:
+            if self._calls is None:
+                self._calls = self._find()
+            if self._calls and self._depth == 0:
+                get, put = self._calls
+                self._saved = get()
+                put(1)
+            self._depth += 1
+            return self._saved
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._calls and self._depth == 0:
+                self._calls[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def _trim_heap():
+    """Hand free heap pages back to the OS: glibc's malloc_trim, a no-op elsewhere.
+
+    A pool thread's malloc arena keeps the heads' freed transients cached
+    after the pool joins, and they would add to the process's peak RSS when
+    the next phase allocates from the main arena.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):  # no glibc, or no dlopen(NULL)
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 # --- data assembly ----------------------------------------------------------------

@@ -519,6 +519,19 @@ def test_load_learners_holds_one_density_at_a_time(tmp_path):
 
 
 class TestExploreCommand:
+    @pytest.mark.parametrize("levels", ["z:500", "z:850+t:850", "z:850;z:850",
+                                        "z:850+t:500;t:500+z:850", "z:850+z:850"])
+    def test_repeated_channel_is_usage_error(self, levels, tmp_path, capsys):
+        """A candidate repeating a base input or another candidate is refused
+        before the dataset is opened (here it does not exist)."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run("explore", "--data", tmp_path / "absent.gfb", "--seed", 1,
+                "--base-inputs", "z:500,t:850", "--levels", levels, "--out", out)
+        assert exc.value.code == 2
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explore_writes_reports(self, tmp_path, capsys):
         data = tmp_path / "toy.gfb"
         assert run("synth", "--seed", 11, "--nlat", 6, "--nlon", 12,

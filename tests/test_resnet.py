@@ -1,12 +1,20 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from probcast import autodiff as ad
+from probcast import resnet
 from probcast.autodiff import Tensor
 from probcast.binning import BinSpec, discretize
+from probcast.ensemble import generate_ensemble
 from probcast.grid import SplitPlan
 from probcast.nn import Adam, BatchNorm2d
 from probcast.resnet import (PlateauSchedule, ResNet, ResNetConfig,
@@ -343,6 +351,132 @@ class TestPrediction:
         b = model.predict_density(X[:4], dropout_enabled=True,
                                   rng=np.random.default_rng(2)).probs
         assert np.abs(a - b).max() > 0
+
+
+def paper_width_model():
+    """100 bins and channels, 5x5 kernels, one block, a 16x32 grid, 3 samples."""
+    cfg = toy_config(n_bins=100, kernel=5, dropout_rate=0.1)
+    model = ResNet(cfg, seed=4)
+    identity_stats(model, 2)
+    model.binspec = BinSpec(0.0, 1.0, cfg.n_bins)
+    x = np.random.default_rng(5).normal(size=(3, 2, 16, 32)).astype(np.float32)
+    return model, x
+
+
+def _ensemble_digest() -> str:
+    model, x = paper_width_model()
+    ens = generate_ensemble(model, x, n_members=3, master_seed=6)
+    return hashlib.sha256(b"".join(m.probs.tobytes() for m in ens.members)).hexdigest()
+
+
+@pytest.fixture
+def blas_threads():
+    """get/set of numpy's OpenBLAS thread count; the count is restored afterwards."""
+    calls = resnet._OneBlasThread._find()
+    if not calls:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, put = calls
+    before = get()
+    try:
+        yield get, put
+    finally:
+        put(before)
+
+
+class _CountingRng:
+    """An rng stream that records the OpenBLAS thread count and the thread at each draw."""
+
+    def __init__(self, seed, get):
+        self.rng, self.get, self.seen, self.threads = np.random.default_rng(seed), get, [], set()
+
+    def random(self, out):
+        self.seen.append(self.get())
+        self.threads.add(threading.get_ident())
+        return self.rng.random(out=out)
+
+
+class TestMemberWorkers:
+    """predict_densities runs members on OpenBLAS's threads, pinning BLAS to one."""
+
+    def test_ensemble_bytes_do_not_depend_on_blas_threads(self):
+        """At paper width a 2-thread GEMM rounds differently from a 1-thread one;
+        pinned BLAS gives an ensemble the same bytes at either count."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        tests = str(Path(__file__).resolve().parent)
+        code = ("import sys; sys.path[:0] = sys.argv[1:3]; "
+                "import test_resnet; print(test_resnet._ensemble_digest())")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", code, src, tests], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            digests.append(done.stdout.strip().splitlines()[-1])
+        assert digests[0] == digests[1]
+
+    def test_blas_pinned_inside_and_restored_after_return_and_raise(self, blas_threads):
+        get, put = blas_threads
+        model, x = paper_width_model()
+        put(2)
+        rngs = [_CountingRng(s, get) for s in (1, 2, 3)]
+        model.predict_densities(x[:1], rngs)
+        assert get() == 2
+        assert all(r.seen == [1] for r in rngs)
+        caller = {threading.get_ident()}
+        assert rngs[0].threads == rngs[2].threads == caller  # shares jobs[k::2]
+        assert rngs[1].threads and rngs[1].threads != caller
+        with pytest.raises(ValueError, match="enabled dropout needs an rng stream"):
+            model.predict_densities(x[:1], [np.random.default_rng(1), None])
+        assert get() == 2
+
+    def test_members_equal_lone_passes_at_paper_width(self, blas_threads):
+        """Three members on two workers: member 2 shares a thread with member 0."""
+        get, put = blas_threads
+        model, x = paper_width_model()
+        put(2)
+        dens = model.predict_densities(x, [np.random.default_rng(s) for s in (1, 2, 3)],
+                                       batch_size=2)
+        for seed, got in zip((1, 2, 3), dens):
+            alone = model.predict_density(x, dropout_enabled=True,
+                                          rng=np.random.default_rng(seed))
+            np.testing.assert_array_equal(got.probs, alone.probs)
+
+    def test_without_openblas_members_run_on_the_caller(self, monkeypatch):
+        pin = resnet._OneBlasThread()
+        monkeypatch.setattr(pin, "_find", lambda: ())
+        monkeypatch.setattr(resnet, "_ONE_BLAS_THREAD", pin)
+        model, x = paper_width_model()
+        rngs = [_CountingRng(s, lambda: None) for s in (1, 2)]
+        model.predict_densities(x[:1], rngs)
+        assert all(r.threads == {threading.get_ident()} for r in rngs)
+        with pin as threads:
+            assert threads == 1
+
+    def test_overlapping_pins_restore_once(self, blas_threads):
+        """Eight threads enter and leave the pin with a 1 us switch interval: BLAS
+        reads 1 inside every hold and the saved count once the last one leaves."""
+        get, put = blas_threads
+        put(2)
+        inside = []
+
+        def hold():
+            for _ in range(200):
+                with resnet._ONE_BLAS_THREAD as threads:
+                    inside.append((threads, get()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hold) for _ in range(8)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert len(inside) == 8 * 200
+        assert set(inside) == {(2, 1)}
+        assert get() == 2
 
 
 class TestCheckpoint:
